@@ -43,10 +43,8 @@ class ControllerConfig:
     target_utilization: float = 0.7      # SLO headroom for the capacity floor
     cost_per_replica_hour: float = 0.1
     cost_per_node_hour: float = 1.0
-    max_nodes: int = 10
     forecast_alpha: float = 0.5
     forecast_beta: float = 0.3
-    pod_start_delay: float = 15.0        # forecast horizon for demand estimation
 
     def __post_init__(self):
         if self.min_replicas < 1:
@@ -74,7 +72,6 @@ class DecisionRecord:
     snapshot: SignalSnapshot
     slo_demand: int
     backlog_adjusted: int
-    pre_guardrail: int
     post_guardrail: int
     constraints_applied: tuple[str, ...]
     action: ScalingAction
@@ -178,14 +175,13 @@ def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
 
 
 def coordinate_actuation(target: int, cluster: ClusterState,
-                         cfg: ControllerConfig, node_capacity: int
-                         ) -> tuple[int | None, str]:
+                         node_capacity: int) -> tuple[int | None, str]:
     """Stage 5: emit a node capacity hint when the target is unschedulable."""
     # starting replicas already hold slots, so they count toward the target
     shortfall = max(0, target - cluster.total_replicas - cluster.free_slots)
     if shortfall <= 0:
         return None, ""
-    if cluster.live_nodes >= cfg.max_nodes:
+    if cluster.live_nodes >= cluster.params.max_nodes:
         return None, "capacity shortfall but node limit reached"
     whole_nodes = math.ceil(shortfall / node_capacity)
     return whole_nodes * node_capacity, f"hinting {whole_nodes} node(s)"
@@ -251,7 +247,7 @@ class HpaController:
                            f"cpu {metric:.2f} vs target {cfg.cpu_target:.2f}")
         return DecisionRecord(
             t=s.t, snapshot=s, slo_demand=desired, backlog_adjusted=desired,
-            pre_guardrail=desired, post_guardrail=final,
+            post_guardrail=final,
             constraints_applied=tuple(constraints),
             action=ScalingAction(final, vpa_recommendation=vpa),
             reason=reason)
@@ -279,7 +275,8 @@ class SloCostController:
 
         # stage 1 is the snapshot itself; fold the observation into the forecast
         self.forecast = forecast_update(self.forecast, s.arrival_rate)
-        predicted = forecast_horizon(self.forecast, cfg.pod_start_delay,
+        predicted = forecast_horizon(self.forecast,
+                                     cluster.params.pod_start_delay,
                                      cfg.control_interval)
         predicted = max(predicted, s.arrival_rate)  # never plan below what we see
 
@@ -300,7 +297,7 @@ class SloCostController:
             constraints.append(COST_FLOOR)  # settling on the cheapest SLO-safe size
         self.target = final
 
-        hint, hint_note = coordinate_actuation(final, cluster, cfg,
+        hint, hint_note = coordinate_actuation(final, cluster,
                                                self.node_capacity)
         reason = _describe(
             final, current, constraints,
@@ -310,8 +307,8 @@ class SloCostController:
             reason += f"; {hint_note}"
         return DecisionRecord(
             t=s.t, snapshot=s, slo_demand=slo_demand,
-            backlog_adjusted=backlog_adjusted, pre_guardrail=backlog_adjusted,
-            post_guardrail=final, constraints_applied=tuple(constraints),
+            backlog_adjusted=backlog_adjusted, post_guardrail=final,
+            constraints_applied=tuple(constraints),
             action=ScalingAction(final, node_capacity_hint=hint),
             reason=reason)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .controllers import ControllerConfig
 from .runner import RunTrace
@@ -141,25 +141,14 @@ def aggregate_reports(reports: list[MetricsReport]) -> MetricsReport:
         raise ValueError("no reports to aggregate")
     if len(reports) == 1:
         return reports[0]
-
-    def mean(attr):
-        values = [getattr(r, attr) for r in reports]
-        if any(v is None for v in values):
-            return None
-        return statistics.fmean(values)
-
-    return MetricsReport(
-        controller=reports[0].controller,
-        slo_violation_count=mean("slo_violation_count"),
-        slo_violation_duration=mean("slo_violation_duration"),
-        mean_time_to_scale=mean("mean_time_to_scale"),
-        node_hours=mean("node_hours"),
-        replica_hours=mean("replica_hours"),
-        cost=mean("cost"),
-        scale_event_count=mean("scale_event_count"),
-        oscillation_count=mean("oscillation_count"),
-        replica_churn=mean("replica_churn"),
-    )
+    means = {}
+    for f in fields(MetricsReport):
+        if f.name == "controller":
+            continue
+        values = [getattr(r, f.name) for r in reports]
+        means[f.name] = (None if any(v is None for v in values)
+                         else statistics.fmean(values))
+    return MetricsReport(controller=reports[0].controller, **means)
 
 
 def _reduction(base, value):
@@ -192,17 +181,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def reports_to_csv(reports: list[MetricsReport]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in reports:
-        cells = [r.controller, r.slo_violation_count, r.slo_violation_duration,
-                 r.mean_time_to_scale, r.node_hours, r.replica_hours, r.cost,
-                 r.scale_event_count, r.oscillation_count, r.replica_churn]
-        buf.write(",".join(_csv_cell(c) for c in cells) + "\n")
-    return buf.getvalue()
 
 
 def comparison_to_csv(rows: list[dict]) -> str:

@@ -17,8 +17,6 @@ from .sim import Cluster
 # reacts for controllers that emit no capacity hints (baseline behavior)
 PENDING_TRIGGER_DELAY = 45.0
 
-LATENCY_SMOOTHING = 0.5
-
 
 class SimulationError(RuntimeError):
     """An internal invariant broke mid-run; the trace cannot be trusted."""
@@ -63,10 +61,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
     """Simulate one controller over the scenario; fully deterministic."""
     seed = scn.seed if seed is None else seed
     wspec = dataclasses.replace(scn.workload, seed=seed)
-    cfg = dataclasses.replace(
-        scn.controller,
-        pod_start_delay=scn.cluster.pod_start_delay,
-        max_nodes=scn.cluster.max_nodes)
+    cfg = scn.controller
     cluster = Cluster(scn.cluster, initial_replicas=cfg.min_replicas)
     controller = make_controller(controller_kind, cfg,
                                  mu=scn.service.per_replica_rate,
@@ -84,8 +79,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
         arrivals = workload.arrivals_at(wspec, t, scn.tick)
         cluster.step(arrivals, scn.service, scn.tick)
         rate = arrivals / scn.tick
-        snap = sample(cluster.state, rate, scn.service, prev_latency,
-                      LATENCY_SMOOTHING)
+        snap = sample(cluster.state, rate, scn.service, prev_latency)
         prev_latency = snap.latency
 
         action_obj = None

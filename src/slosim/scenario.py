@@ -7,12 +7,14 @@ are all rejected with an error naming the offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
+from typing import get_type_hints
 
 from .controllers import CONTROLLER_KINDS, ControllerConfig
 from .sim import ClusterParams, ServiceModel
-from .workload import KINDS, WorkloadSpec
+from .workload import WorkloadSpec
 
 SCHEMA_VERSION = 1
 
@@ -25,12 +27,11 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     name: str
     horizon: float
+    workload: WorkloadSpec
     tick: float = 1.0
     seed: int = 0
     repeats: int = 1
-    workload: WorkloadSpec = field(default_factory=lambda: WorkloadSpec("bursty"))
-    service: ServiceModel = field(
-        default_factory=lambda: ServiceModel(10.0, 0.05, 5.0))
+    service: ServiceModel = field(default_factory=ServiceModel)
     cluster: ClusterParams = field(default_factory=ClusterParams)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     controllers: tuple[str, ...] = CONTROLLER_KINDS
@@ -52,150 +53,90 @@ class ScenarioConfig:
                 raise ConfigError(f"controllers: unknown kind {kind!r}")
 
 
-_TOP_KEYS = {"schema", "name", "horizon", "tick", "seed", "repeats",
-             "workload", "service", "cluster", "controller", "controllers"}
-_WORKLOAD_KEYS = {"kind", "base_rate", "burst_amplitude", "burst_duration",
-                  "burst_interval", "batch_fraction", "noise_std", "seed",
-                  "ramps"}
-_SERVICE_KEYS = {"per_replica_rate", "base_latency", "latency_cap"}
-_CLUSTER_KEYS = {"initial_nodes", "node_capacity", "max_nodes",
-                 "pod_start_delay", "node_provision_delay",
-                 "node_idle_timeout"}
-_CONTROLLER_KEYS = {
-    "min_replicas", "max_replicas", "control_interval", "slo_latency_target",
-    "cpu_target", "tolerance_band", "max_step_up", "max_step_down",
-    "scale_up_stabilization", "scale_down_stabilization",
-    "cooldown_after_scale_up", "drain_window", "target_utilization",
-    "cost_per_replica_hour", "cost_per_node_hour", "forecast_alpha",
-    "forecast_beta"}
-
-
-def _check_keys(section: str, doc: dict, allowed: set[str]):
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {', '.join(unknown)}")
-
-
-def _number(section: str, doc: dict, key: str, default=None):
-    if key not in doc:
-        return default
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
+def _number(where: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value
 
 
-def _integer(section: str, doc: dict, key: str, default=None):
-    value = _number(section, doc, key, default)
-    if value is None:
-        return None
+def _integer(where: str, value) -> int:
+    value = _number(where, value)
     if value != int(value):
-        raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}")
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)
 
 
-def _build(section: str, doc: dict, cls, allowed: set[str], integers: set[str],
-           extra: dict | None = None):
-    _check_keys(section, doc, allowed)
-    kwargs = dict(extra or {})
-    for key in doc:
-        if extra and key in extra:
-            continue
-        if key in integers:
-            kwargs[key] = _integer(section, doc, key)
-        else:
-            kwargs[key] = _number(section, doc, key)
+def _ramps(where: str, value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a list of [start, end, rate]")
+    parsed = []
+    for i, seg in enumerate(value):
+        if not (isinstance(seg, (list, tuple)) and len(seg) == 3):
+            raise ConfigError(
+                f"{where}[{i}]: expected [start, end, rate] numbers")
+        start, end, rate = (float(_number(f"{where}[{i}]", v)) for v in seg)
+        if end <= start or rate < 0:
+            raise ConfigError(f"{where}[{i}]: need start < end and rate >= 0")
+        parsed.append((start, end, rate))
+    return tuple(parsed)
+
+
+def _names(where: str, value) -> tuple[str, ...]:
+    if not (isinstance(value, list) and value
+            and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{where}: expected a non-empty list of names")
+    return tuple(value)
+
+
+# fields whose JSON form is a list rather than a number, string or object
+_LIST_FIELDS = {"ramps": _ramps, "controllers": _names}
+
+
+def _value(section: str, key: str, ftype, value):
+    where = f"{section}.{key}"
+    if key in _LIST_FIELDS:
+        return _LIST_FIELDS[key](where, value)
+    if is_dataclass(ftype):
+        return _build(key, value, ftype)
+    if ftype is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{where}: must be a non-empty string")
+        return value
+    if ftype is int:
+        return _integer(where, value)
+    return _number(where, value)
+
+
+def _build(section: str, doc, cls):
+    """Parse one section into `cls`, taking keys and types from its fields."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{section}: expected an object")
+    types = get_type_hints(cls)
+    unknown = sorted(set(doc) - set(types))
+    if unknown:
+        raise ConfigError(f"{section}: unknown key(s) {', '.join(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING \
+                and f.name not in doc:
+            raise ConfigError(f"{section}.{f.name}: required field missing")
+    kwargs = {key: _value(section, key, types[key], value)
+              for key, value in doc.items()}
     try:
         return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
+    except ConfigError:
+        raise  # ScenarioConfig's own checks already name their field
+    except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("document: expected a JSON object")
-    _check_keys("document", doc, _TOP_KEYS)
-    if doc.get("schema") != SCHEMA_VERSION:
+    body = dict(doc)
+    if body.pop("schema", None) != SCHEMA_VERSION:
         raise ConfigError(f"schema: must be {SCHEMA_VERSION}")
-    for req in ("name", "horizon", "workload"):
-        if req not in doc:
-            raise ConfigError(f"{req}: required field missing")
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        raise ConfigError("name: must be a non-empty string")
-
-    wdoc = doc["workload"]
-    if not isinstance(wdoc, dict):
-        raise ConfigError("workload: expected an object")
-    _check_keys("workload", wdoc, _WORKLOAD_KEYS)
-    if "kind" not in wdoc:
-        raise ConfigError("workload.kind: required field missing")
-    if wdoc["kind"] not in KINDS:
-        raise ConfigError(f"workload.kind: unknown kind {wdoc['kind']!r}")
-    ramps = wdoc.get("ramps", [])
-    if not isinstance(ramps, list):
-        raise ConfigError("workload.ramps: expected a list of [start, end, rate]")
-    parsed_ramps = []
-    for i, seg in enumerate(ramps):
-        if not (isinstance(seg, (list, tuple)) and len(seg) == 3
-                and all(isinstance(v, (int, float)) for v in seg)):
-            raise ConfigError(
-                f"workload.ramps[{i}]: expected [start, end, rate] numbers")
-        if seg[1] <= seg[0] or seg[2] < 0:
-            raise ConfigError(
-                f"workload.ramps[{i}]: need start < end and rate >= 0")
-        parsed_ramps.append(tuple(float(v) for v in seg))
-    wkwargs = {"kind": wdoc["kind"], "ramps": tuple(parsed_ramps)}
-    for key in wdoc:
-        if key in ("kind", "ramps"):
-            continue
-        if key == "seed":
-            wkwargs[key] = _integer("workload", wdoc, key)
-        else:
-            wkwargs[key] = _number("workload", wdoc, key)
-    try:
-        wspec = WorkloadSpec(**wkwargs)
-    except ValueError as exc:
-        raise ConfigError(f"workload: {exc}") from exc
-
-    service = _build("service", doc.get("service", {}), ServiceModel,
-                     _SERVICE_KEYS, integers=set()) \
-        if "service" in doc else ServiceModel(10.0, 0.05, 5.0)
-    cluster = _build("cluster", doc.get("cluster", {}), ClusterParams,
-                     _CLUSTER_KEYS,
-                     integers={"initial_nodes", "node_capacity", "max_nodes"}) \
-        if "cluster" in doc else ClusterParams()
-    try:
-        controller = _build(
-            "controller", doc.get("controller", {}), ControllerConfig,
-            _CONTROLLER_KEYS,
-            integers={"min_replicas", "max_replicas",
-                      "max_step_up", "max_step_down"}) \
-            if "controller" in doc else ControllerConfig()
-    except ConfigError:
-        raise
-
-    controllers = doc.get("controllers", list(CONTROLLER_KINDS))
-    if not (isinstance(controllers, list) and controllers
-            and all(isinstance(c, str) for c in controllers)):
-        raise ConfigError("controllers: expected a non-empty list of names")
-
-    try:
-        return ScenarioConfig(
-            name=doc["name"],
-            horizon=_number("document", doc, "horizon"),
-            tick=_number("document", doc, "tick", 1.0),
-            seed=_integer("document", doc, "seed", 0),
-            repeats=_integer("document", doc, "repeats", 1),
-            workload=wspec,
-            service=service,
-            cluster=cluster,
-            controller=controller,
-            controllers=tuple(controllers),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build("document", body, ScenarioConfig)
 
 
 def bundled_scenario(name: str) -> ScenarioConfig:

@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 from .sim import ClusterState, ServiceModel, observe_latency
 
 UTILIZATION_CAP = 1e6  # stands in for infinity when no replica is ready
+LATENCY_SMOOTHING = 0.5  # EWMA weight of the newest latency observation
 
 
 @dataclass(frozen=True)
@@ -28,14 +29,14 @@ def utilization(arrival_rate: float, ready_replicas: int, mu: float) -> float:
 
 
 def sample(cluster: ClusterState, arrival_rate: float, model: ServiceModel,
-           prev_latency: float | None = None,
-           smoothing: float = 0.5) -> SignalSnapshot:
+           prev_latency: float | None = None) -> SignalSnapshot:
     """Build a snapshot, EWMA-smoothing latency against the previous sample."""
     raw = observe_latency(cluster, arrival_rate, model)
     if prev_latency is None:
         lat = raw
     else:
-        lat = smoothing * raw + (1.0 - smoothing) * prev_latency
+        w = LATENCY_SMOOTHING
+        lat = w * raw + (1.0 - w) * prev_latency
     return SignalSnapshot(
         t=cluster.time,
         latency=lat,

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 class ServiceModel:
     """Per-replica service capacity and the latency response curve."""
 
-    per_replica_rate: float  # requests/second one replica can serve
-    base_latency: float      # seconds, latency of an unloaded replica
-    latency_cap: float       # seconds, reported latency never exceeds this
+    per_replica_rate: float = 10.0  # requests/second one replica can serve
+    base_latency: float = 0.05      # seconds, latency of an unloaded replica
+    latency_cap: float = 5.0        # seconds, ceiling on reported latency
 
     def __post_init__(self):
         if self.per_replica_rate <= 0:
@@ -35,7 +35,6 @@ class NodeState:
     capacity: int            # replica slots
     used: int = 0
     provisioned_at: float = 0.0   # becomes active at this time
-    active_since: float = 0.0
     active: bool = False
     retired: bool = False         # deactivated by idle timeout, never reused
     idle_since: float | None = None
@@ -65,6 +64,8 @@ class ClusterParams:
 
 @dataclass
 class ClusterState:
+    # the fixed limits this state evolves under; controllers read them here
+    params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
     nodes: list[NodeState] = field(default_factory=list)
     replicas: list[Replica] = field(default_factory=list)
@@ -77,16 +78,6 @@ class ClusterState:
     def ready_replicas(self) -> int:
         t = self.time
         return sum(1 for r in self.replicas if r.ready_at <= t)
-
-    @property
-    def starting_replicas(self) -> list[tuple[int, float]]:
-        """Pending-startup replicas grouped as (count, ready_at)."""
-        t = self.time
-        groups: dict[float, int] = {}
-        for r in self.replicas:
-            if r.ready_at > t:
-                groups[r.ready_at] = groups.get(r.ready_at, 0) + 1
-        return sorted((n, at) for at, n in groups.items())
 
     @property
     def total_replicas(self) -> int:
@@ -136,7 +127,7 @@ class Cluster:
 
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
         self.params = params
-        self.state = ClusterState()
+        self.state = ClusterState(params)
         for _ in range(params.initial_nodes):
             self._add_node(active=True)
         # initial replicas are ready immediately (pre-warmed fleet)
@@ -146,17 +137,14 @@ class Cluster:
 
     # -- internal helpers -------------------------------------------------
 
-    def _add_node(self, active: bool, ready_at: float = 0.0) -> NodeState:
-        node = NodeState(
+    def _add_node(self, active: bool, ready_at: float = 0.0):
+        self.state.nodes.append(NodeState(
             id=len(self.state.nodes),
             capacity=self.params.node_capacity,
             provisioned_at=ready_at,
-            active_since=ready_at,
             active=active,
             idle_since=ready_at if active else None,
-        )
-        self.state.nodes.append(node)
-        return node
+        ))
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
@@ -207,7 +195,6 @@ class Cluster:
         for node in s.nodes:
             if not node.active and not node.retired and node.provisioned_at <= s.time:
                 node.active = True
-                node.active_since = node.provisioned_at
                 node.idle_since = s.time if node.used == 0 else None
         self._discharge_pending()
 
@@ -238,15 +225,13 @@ class Cluster:
         elif desired_replicas < current:
             self._remove_replicas(current - desired_replicas)
 
-    def provision_node(self, capacity: int | None = None) -> bool:
+    def provision_node(self) -> bool:
         """Request one extra node; refused once max_nodes is reached."""
         if self.state.live_nodes >= self.params.max_nodes:
             return False
-        node = self._add_node(
+        self._add_node(
             active=False,
             ready_at=self.state.time + self.params.node_provision_delay)
-        if capacity is not None and capacity > 0:
-            node.capacity = capacity
         return True
 
     # -- invariant checks (used by tests and the run loop) -----------------
@@ -267,13 +252,3 @@ class Cluster:
             if placed > 0:
                 assert node.active, f"replica on inactive node {node.id}"
 
-
-def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
-                 node_capacity: int = 8, **params) -> Cluster:
-    """Convenience constructor for tests and examples."""
-    cluster = Cluster(
-        ClusterParams(initial_nodes=nodes, node_capacity=node_capacity, **params),
-        initial_replicas=ready)
-    cluster.state.queue_depth = queue
-    cluster.state.cumulative_arrived = queue
-    return cluster

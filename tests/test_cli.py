@@ -1,6 +1,8 @@
 """Scenario parsing and the command-line workflow."""
 
+import copy
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -28,6 +30,53 @@ QUICK = {
                    "max_replicas": 20},
     "controllers": ["default_hpa", "proposed"],
 }
+
+# every field of every section set away from its default
+FULL = {
+    "schema": 1,
+    "name": "full",
+    "horizon": 900,
+    "tick": 0.5,
+    "seed": 7,
+    "repeats": 2,
+    "controllers": ["proposed", "tuned_hpa"],
+    "workload": {"kind": "queue_driven", "base_rate": 8, "burst_amplitude": 3,
+                 "burst_duration": 30, "burst_interval": 300,
+                 "batch_fraction": 0.25, "noise_std": 0.1, "seed": 11,
+                 "ramps": [[100, 200, 40]]},
+    "service": {"per_replica_rate": 12, "base_latency": 0.04,
+                "latency_cap": 0.5},
+    "cluster": {"initial_nodes": 3, "node_capacity": 6, "max_nodes": 12,
+                "pod_start_delay": 10, "node_provision_delay": 45,
+                "node_idle_timeout": 400},
+    "controller": {"min_replicas": 2, "max_replicas": 40,
+                   "control_interval": 10, "slo_latency_target": 0.25,
+                   "cpu_target": 0.6, "tolerance_band": 0.05,
+                   "max_step_up": 5, "max_step_down": 4,
+                   "scale_up_stabilization": 15,
+                   "scale_down_stabilization": 90,
+                   "cooldown_after_scale_up": 30, "drain_window": 20,
+                   "target_utilization": 0.8, "cost_per_replica_hour": 0.2,
+                   "cost_per_node_hour": 1.5, "forecast_alpha": 0.4,
+                   "forecast_beta": 0.2},
+}
+
+# (section, its integer fields); "document" is the top level
+SECTIONS = [
+    ("document", ["seed", "repeats"]),
+    ("workload", ["seed"]),
+    ("service", []),
+    ("cluster", ["initial_nodes", "node_capacity", "max_nodes"]),
+    ("controller", ["min_replicas", "max_replicas", "max_step_up",
+                    "max_step_down"]),
+]
+
+
+def with_value(section, key, value):
+    """FULL with one key of one section set to `value`."""
+    doc = copy.deepcopy(FULL)
+    (doc if section == "document" else doc[section])[key] = value
+    return doc
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -90,6 +139,45 @@ class TestParseScenario:
             load_scenario(path)
 
 
+class TestSections:
+    @pytest.mark.parametrize("section,key", [
+        *((section, "bogus") for section, _ in SECTIONS),
+        # cluster settings are not controller settings
+        ("controller", "max_nodes"),
+        ("controller", "pod_start_delay"),
+    ])
+    def test_unknown_key_names_the_section(self, section, key):
+        with pytest.raises(ConfigError,
+                           match=rf"^{section}: unknown key\(s\) {key}$"):
+            parse_scenario(with_value(section, key, 1))
+
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, ints in SECTIONS for key in ints])
+    def test_integer_field_rejects_fraction(self, section, key):
+        with pytest.raises(ConfigError,
+                           match=rf"^{section}\.{key}: expected an integer"):
+            parse_scenario(with_value(section, key, 2.5))
+
+    @pytest.mark.parametrize("section,ints", SECTIONS,
+                             ids=[section for section, _ in SECTIONS])
+    def test_every_field_parses_to_its_value(self, section, ints):
+        scn = parse_scenario(FULL)
+        if section == "document":
+            obj, doc = scn, {k: v for k, v in FULL.items() if k != "schema"}
+        else:
+            obj, doc = getattr(scn, section), FULL[section]
+        assert set(doc) == {f.name for f in fields(obj)}
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                continue  # a nested section, checked under its own name
+            if isinstance(value, list):
+                value = tuple(tuple(v) if isinstance(v, list) else v
+                              for v in value)
+            assert getattr(obj, key) == value
+            if key in ints:
+                assert type(getattr(obj, key)) is int
+
+
 class TestValidateCommand:
     def test_valid_scenario_exits_zero(self, tmp_path, capsys):
         path = write_scenario(tmp_path, MINIMAL)
@@ -103,6 +191,18 @@ class TestValidateCommand:
 
     def test_missing_file_exits_config_error(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("workload", "seed", float("nan")),
+        ("document", "horizon", float("inf")),
+        ("controller", "slo_latency_target", float("-inf")),
+        ("workload", "ramps", [[True, 5, 3]]),
+    ])
+    def test_non_finite_and_boolean_numbers_rejected(self, tmp_path, capsys,
+                                                     section, key, value):
+        path = write_scenario(tmp_path, with_value(section, key, value))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
 
 class TestRunCommand:

@@ -12,7 +12,6 @@ from slosim.metrics import (
     compare,
     comparison_to_csv,
     cost_metrics,
-    reports_to_csv,
     scale_events,
     slo_violations,
     stability_metrics,
@@ -221,15 +220,15 @@ class TestCsv:
                               "node_hours,replica_hours,cost,events,"
                               "oscillations,churn")
 
-    def test_report_rows_render(self):
-        text = reports_to_csv([report(duration=12.5, tts=None)])
-        lines = text.strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert lines[1].startswith("default_hpa,0,12.5,,")
-
     def test_comparison_csv_adds_reduction_columns(self):
-        rows = compare([report(duration=100.0), report("proposed", 80.0)])
-        text = comparison_to_csv(rows)
-        assert text.splitlines()[0].endswith(
-            "slo_duration_red,ttscale_red,node_hours_red,cost_red")
-        assert "0.2" in text.splitlines()[2]
+        for duration, tts, base_row in [
+            (100.0, 4.0, "default_hpa,0,100,4,"),
+            (12.5, None, "default_hpa,0,12.5,,"),  # None renders as empty
+        ]:
+            rows = compare([report(duration=duration, tts=tts),
+                            report("proposed", duration * 0.8)])
+            lines = comparison_to_csv(rows).splitlines()
+            assert lines[0] == (CSV_HEADER + ",slo_duration_red,ttscale_red,"
+                                "node_hours_red,cost_red")
+            assert lines[1].startswith(base_row)
+            assert "0.2" in lines[2]

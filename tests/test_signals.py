@@ -44,8 +44,7 @@ class TestSample:
         assert utilization(0, 0, MODEL.per_replica_rate) == 0.0
 
     def test_smoothing_blends_previous_latency(self):
-        snap = sample(state_with(ready=2), 0, MODEL, prev_latency=0.15,
-                      smoothing=0.5)
+        snap = sample(state_with(ready=2), 0, MODEL, prev_latency=0.15)
         assert snap.latency == pytest.approx(0.5 * 0.05 + 0.5 * 0.15)
 
     @given(rates=st.lists(st.floats(0, 9.5), min_size=1, max_size=30))

@@ -10,9 +10,10 @@ from slosim.sim import (
     ClusterState,
     Replica,
     ServiceModel,
-    make_cluster,
     observe_latency,
 )
+
+from helpers import make_cluster
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
@@ -147,7 +148,9 @@ class TestSchedule:
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
         c.schedule(6)
         assert c.state.pending_replicas == 0
-        assert c.state.starting_replicas == [(2, 15.0)]
+        starting = [r.ready_at for r in c.state.replicas
+                    if r.ready_at > c.state.time]
+        assert starting == [15.0, 15.0]
 
     def test_overflow_becomes_pending(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6)
