@@ -74,6 +74,9 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:  # the scenario validated, so this is a run failure
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def _cmd_validate(args) -> int:

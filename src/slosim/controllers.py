@@ -54,9 +54,14 @@ class ControllerConfig:
         if self.control_interval <= 0:
             raise ValueError("control_interval must be > 0")
         for name in ("scale_up_stabilization", "scale_down_stabilization",
-                     "cooldown_after_scale_up", "drain_window"):
+                     "cooldown_after_scale_up"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        # each of these divides a demand estimate
+        for name in ("slo_latency_target", "target_utilization",
+                     "drain_window"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,12 @@ def run(scn: ScenarioConfig, controller_kind: str,
             raise SimulationError(f"invariant breach at t={t}: {exc}") from exc
 
         s = cluster.state
+        ready = s.ready_replicas
         trace.rows.append({
             "t": t,
             "arrivals": arrivals,
-            "ready": s.ready_replicas,
-            "starting": s.total_replicas - s.ready_replicas,
+            "ready": ready,
+            "starting": s.total_replicas - ready,
             "pending": s.pending_replicas,
             "nodes_active": s.active_nodes,
             "queue": s.queue_depth,

@@ -37,15 +37,15 @@ def sample(cluster: ClusterState, arrival_rate: float, model: ServiceModel,
     else:
         w = LATENCY_SMOOTHING
         lat = w * raw + (1.0 - w) * prev_latency
+    ready = cluster.ready_replicas
     return SignalSnapshot(
         t=cluster.time,
         latency=lat,
         queue=cluster.queue_depth,
-        utilization=utilization(arrival_rate, cluster.ready_replicas,
-                                model.per_replica_rate),
+        utilization=utilization(arrival_rate, ready, model.per_replica_rate),
         pending=cluster.pending_replicas,
         arrival_rate=arrival_rate,
-        ready_replicas=cluster.ready_replicas,
+        ready_replicas=ready,
     )
 
 

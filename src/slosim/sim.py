@@ -4,11 +4,18 @@ The model is intentionally small: replicas contribute a fixed service rate,
 requests that cannot be served in a tick accumulate in a FIFO backlog, and
 latency follows an M/M/c-flavored closed form with a saturation branch.
 Nothing here is random; all variation enters through the workload generator.
+
+State is kept in aggregate so that a tick costs the same at any fleet size:
+replicas are cohorts of pods placed together on one node, and every fleet
+quantity a tick reads (ready and placed pods, active and live nodes, free
+slots) is a counter updated where it changes. `Cluster.check_invariants`
+recounts all of them from the cohorts and nodes on every tick.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -46,10 +53,11 @@ class NodeState:
 
 @dataclass
 class Replica:
-    """One placed service instance, in placement order (newest last)."""
+    """A cohort: `count` pods placed on one node at once, ready at `ready_at`."""
 
     node_id: int
     ready_at: float
+    count: int = 1
 
 
 @dataclass
@@ -61,40 +69,63 @@ class ClusterParams:
     node_provision_delay: float = 60.0
     node_idle_timeout: float = 300.0
 
+    def __post_init__(self):
+        if self.node_capacity < 1:
+            raise ValueError("node_capacity must be >= 1")
+        if not 0 <= self.initial_nodes <= self.max_nodes:
+            raise ValueError("initial_nodes must be in [0, max_nodes]")
+        for name in ("pod_start_delay", "node_provision_delay",
+                     "node_idle_timeout"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+
 
 @dataclass
 class ClusterState:
+    """Everything a tick reads, with every fleet quantity kept as a counter.
+
+    `replicas` holds cohorts in placement order, newest last. Pods are placed
+    at the current time with the constant `pod_start_delay >= 0`, and time
+    only moves forward, so `ready_at` never decreases along the list and the
+    ready pods are the cohorts before the first one whose `ready_at` is still
+    ahead. `ready_replicas` moves that boundary forward when read; every
+    cohort crosses it once, so reading is amortized O(1).
+
+    `Cluster` keeps the counters current wherever the quantity changes:
+    `total_replicas` (placed pods), `active_nodes`, `live_nodes` (active plus
+    still-provisioning nodes), `free_slots` (over active nodes), and the
+    ready boundary `ready_cohorts` with its pod count `ready_pods`.
+    `provisioning` holds the nodes not yet active, by `provisioned_at`;
+    `idle` holds the active empty nodes, by `idle_since`.
+    """
+
     # the fixed limits this state evolves under; controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
-    nodes: list[NodeState] = field(default_factory=list)
+    nodes: list[NodeState] = field(default_factory=list)  # index == node id
     replicas: list[Replica] = field(default_factory=list)
     pending_replicas: int = 0
     queue_depth: float = 0.0
     cumulative_served: float = 0.0
     cumulative_arrived: float = 0.0
+    total_replicas: int = field(default=0, init=False)
+    active_nodes: int = field(default=0, init=False)
+    live_nodes: int = field(default=0, init=False)
+    free_slots: int = field(default=0, init=False)
+    ready_cohorts: int = field(default=0, init=False)
+    ready_pods: int = field(default=0, init=False)
+    provisioning: deque[NodeState] = field(default_factory=deque, init=False)
+    idle: dict[int, NodeState] = field(default_factory=dict, init=False)
 
     @property
     def ready_replicas(self) -> int:
-        t = self.time
-        return sum(1 for r in self.replicas if r.ready_at <= t)
-
-    @property
-    def total_replicas(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def active_nodes(self) -> int:
-        return sum(1 for n in self.nodes if n.active)
-
-    @property
-    def live_nodes(self) -> int:
-        """Active plus still-provisioning nodes; bounded by max_nodes."""
-        return sum(1 for n in self.nodes if not n.retired)
-
-    @property
-    def free_slots(self) -> int:
-        return sum(n.free for n in self.nodes)
+        """Pods whose `ready_at` has passed; counts newly ready cohorts first."""
+        reps, i, t = self.replicas, self.ready_cohorts, self.time
+        while i < len(reps) and reps[i].ready_at <= t:
+            self.ready_pods += reps[i].count
+            i += 1
+        self.ready_cohorts = i
+        return self.ready_pods
 
 
 def observe_latency(state: ClusterState, arrival_rate: float,
@@ -133,33 +164,69 @@ class Cluster:
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
         self.state.pending_replicas += max(
-            0, initial_replicas - len(self.state.replicas))
+            0, initial_replicas - self.state.total_replicas)
 
     # -- internal helpers -------------------------------------------------
 
     def _add_node(self, active: bool, ready_at: float = 0.0):
-        self.state.nodes.append(NodeState(
-            id=len(self.state.nodes),
-            capacity=self.params.node_capacity,
-            provisioned_at=ready_at,
-            active=active,
-            idle_since=ready_at if active else None,
-        ))
+        s = self.state
+        node = NodeState(id=len(s.nodes), capacity=self.params.node_capacity,
+                         provisioned_at=ready_at)
+        s.nodes.append(node)
+        s.live_nodes += 1
+        if active:
+            self._activate(node, ready_at)
+        else:
+            s.provisioning.append(node)
+
+    def _activate(self, node: NodeState, now: float):
+        # a node holds no replicas before it is active, so it starts idle
+        s = self.state
+        node.active = True
+        node.idle_since = now
+        s.idle[node.id] = node
+        s.active_nodes += 1
+        s.free_slots += node.capacity
+
+    def _retire(self, node: NodeState):
+        # only idle nodes retire, so they give back a whole node of slots
+        s = self.state
+        del s.idle[node.id]
+        node.active = False
+        node.retired = True
+        s.active_nodes -= 1
+        s.live_nodes -= 1
+        s.free_slots -= node.capacity
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
+        s = self.state
+        want = min(count, s.free_slots)
         placed = 0
-        for node in self.state.nodes:
-            if not node.active or placed >= count:
-                continue
-            take = min(node.free, count - placed)
+        for node in s.nodes:
+            if placed >= want:
+                break
+            take = min(node.free, want - placed)
             if take > 0:
                 node.used += take
-                node.idle_since = None
-                for _ in range(take):
-                    self.state.replicas.append(Replica(node.id, ready_at))
+                if node.idle_since is not None:
+                    del s.idle[node.id]
+                    node.idle_since = None
+                self._add_cohort(node.id, ready_at, take)
                 placed += take
+        s.free_slots -= placed
+        s.total_replicas += placed
         return placed
+
+    def _add_cohort(self, node_id: int, ready_at: float, count: int):
+        reps = self.state.replicas
+        # a cohort already counted ready must not grow behind the counter
+        if len(reps) > self.state.ready_cohorts:
+            last = reps[-1]
+            if last.node_id == node_id and last.ready_at == ready_at:
+                last.count += count
+                return
+        reps.append(Replica(node_id, ready_at, count))
 
     def _discharge_pending(self):
         if self.state.pending_replicas <= 0:
@@ -170,16 +237,28 @@ class Cluster:
 
     def _remove_replicas(self, count: int):
         """Scale-down: drop pending first, then placed replicas newest-first."""
-        drop_pending = min(count, self.state.pending_replicas)
-        self.state.pending_replicas -= drop_pending
+        s = self.state
+        drop_pending = min(count, s.pending_replicas)
+        s.pending_replicas -= drop_pending
         count -= drop_pending
-        now = self.state.time
-        for _ in range(count):
-            rep = self.state.replicas.pop()
-            node = self.state.nodes[rep.node_id]
-            node.used -= 1
+        s.total_replicas -= count
+        s.free_slots += count
+        reps = s.replicas
+        while count > 0:
+            last = reps[-1]
+            take = min(count, last.count)
+            count -= take
+            if len(reps) <= s.ready_cohorts:
+                s.ready_pods -= take
+            last.count -= take
+            if last.count == 0:
+                reps.pop()
+                s.ready_cohorts = min(s.ready_cohorts, len(reps))
+            node = s.nodes[last.node_id]
+            node.used -= take
             if node.used == 0:
-                node.idle_since = now
+                node.idle_since = s.time
+                s.idle[node.id] = node
 
     # -- spec operations --------------------------------------------------
 
@@ -192,10 +271,11 @@ class Cluster:
         s = self.state
         s.time += dt
 
-        for node in s.nodes:
-            if not node.active and not node.retired and node.provisioned_at <= s.time:
-                node.active = True
-                node.idle_since = s.time if node.used == 0 else None
+        # node_provision_delay is constant, so provisioned_at never
+        # decreases along the queue
+        provisioning = s.provisioning
+        while provisioning and provisioning[0].provisioned_at <= s.time:
+            self._activate(provisioning.popleft(), s.time)
         self._discharge_pending()
 
         capacity = s.ready_replicas * model.per_replica_rate * dt
@@ -205,11 +285,14 @@ class Cluster:
         s.cumulative_arrived += arrivals
         s.cumulative_served += served
 
-        for node in s.nodes:
-            if (node.active and node.idle_since is not None
-                    and s.time - node.idle_since > self.params.node_idle_timeout):
-                node.active = False
-                node.retired = True
+        # a node re-enters `idle` at the end, so idle_since never decreases
+        # along it and the first node not timed out ends the search
+        timeout = self.params.node_idle_timeout
+        while s.idle:
+            node = next(iter(s.idle.values()))
+            if not s.time - node.idle_since > timeout:
+                break
+            self._retire(node)
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
@@ -237,18 +320,57 @@ class Cluster:
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
+        """Recount every fact from cohorts and nodes; O(nodes + cohorts)."""
         s = self.state
         assert s.queue_depth >= -1e-9, "negative queue"
         assert s.pending_replicas >= 0, "negative pending"
         assert abs(s.cumulative_arrived - s.cumulative_served - s.queue_depth) < 1e-6, \
             "request conservation violated"
-        per_node: dict[int, int] = {}
-        for rep in s.replicas:
-            per_node[rep.node_id] = per_node.get(rep.node_id, 0) + 1
-        for node in s.nodes:
-            placed = per_node.get(node.id, 0)
-            assert placed == node.used, f"node {node.id} used mismatch"
-            assert 0 <= node.used <= node.capacity, f"node {node.id} overfull"
-            if placed > 0:
-                assert node.active, f"replica on inactive node {node.id}"
 
+        per_node = [0] * len(s.nodes)
+        prev_ready_at = -math.inf
+        for rep in s.replicas:
+            assert rep.count > 0, "empty cohort"
+            assert rep.ready_at >= prev_ready_at, "cohorts out of ready_at order"
+            prev_ready_at = rep.ready_at
+            per_node[rep.node_id] += rep.count
+        total = sum(per_node)
+        k = s.ready_cohorts
+        assert k <= len(s.replicas) and (
+            k == 0 or s.replicas[k - 1].ready_at <= s.time), \
+            "a cohort counted ready is not ready"
+        # the cohorts not yet counted are few: those placed within one
+        # pod_start_delay
+        assert s.ready_pods == total - sum([rep.count for rep in s.replicas[k:]]), \
+            "ready counter drifted"
+        assert s.total_replicas == total, "replica counter drifted"
+
+        active = live = free = idle = 0
+        for node, placed in zip(s.nodes, per_node):
+            assert placed == node.used, f"node {node.id} used mismatch"
+            assert 0 <= placed <= node.capacity, f"node {node.id} overfull"
+            if node.active:
+                active += 1
+                free += node.capacity - placed
+                if placed == 0:
+                    idle += 1
+                    assert s.idle.get(node.id) is node, \
+                        f"idle node {node.id} not in the idle set"
+            else:
+                assert placed == 0, f"replica on inactive node {node.id}"
+            live += not node.retired
+        assert s.active_nodes == active, "active node counter drifted"
+        assert s.live_nodes == live, "live node counter drifted"
+        assert s.free_slots == free, "free slot counter drifted"
+
+        # `idle` holds exactly the active empty nodes, `provisioning` exactly
+        # the live inactive ones, each in the order its scan relies on
+        assert len(s.idle) == idle, "idle set holds a busy or inactive node"
+        assert len(s.provisioning) == live - active and not any(
+            node.active or node.retired for node in s.provisioning), \
+            "provisioning queue drifted"
+        idle_since = [node.idle_since for node in s.idle.values()]
+        provisioned_at = [node.provisioned_at for node in s.provisioning]
+        assert idle_since == sorted(idle_since), "idle nodes out of order"
+        assert provisioned_at == sorted(provisioned_at), \
+            "provisioning nodes out of order"

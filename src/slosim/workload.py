@@ -32,6 +32,10 @@ class WorkloadSpec:
             raise ValueError("base_rate must be >= 0")
         if self.burst_amplitude < 1:
             raise ValueError("burst_amplitude must be >= 1")
+        if self.burst_interval <= 0:
+            raise ValueError("burst_interval must be > 0")
+        if not 0 <= self.burst_duration <= self.burst_interval:
+            raise ValueError("burst_duration must be in [0, burst_interval]")
         if not 0 <= self.batch_fraction <= 1:
             raise ValueError("batch_fraction must be in [0, 1]")
         if self.noise_std < 0:

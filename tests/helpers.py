@@ -1,6 +1,6 @@
-"""Small constructors shared by the unit tests."""
+"""Small constructors and a reference cluster model shared by the unit tests."""
 
-from slosim.sim import Cluster, ClusterParams
+from slosim.sim import Cluster, ClusterParams, NodeState
 
 
 def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
@@ -12,3 +12,112 @@ def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
     cluster.state.queue_depth = queue
     cluster.state.cumulative_arrived = queue
     return cluster
+
+
+class ReferenceCluster:
+    """The cluster model kept as one entry per pod and recounted on every read.
+
+    It is the straightforward form of `slosim.sim.Cluster`: every fleet
+    quantity is a scan, every tick visits every node. Property tests run the
+    same operations on both and compare what they report.
+    """
+
+    def __init__(self, params: ClusterParams, initial_replicas: int = 0):
+        self.params = params
+        self.time = 0.0
+        self.nodes: list[NodeState] = []
+        self.pods: list[tuple[int, float]] = []  # (node_id, ready_at)
+        self.pending_replicas = 0
+        self.queue_depth = 0.0
+        for _ in range(params.initial_nodes):
+            self._add_node(active=True)
+        self._place(initial_replicas, ready_at=0.0)
+        self.pending_replicas += max(0, initial_replicas - len(self.pods))
+
+    @property
+    def ready_replicas(self) -> int:
+        return sum(1 for _, ready_at in self.pods if ready_at <= self.time)
+
+    @property
+    def total_replicas(self) -> int:
+        return len(self.pods)
+
+    @property
+    def active_nodes(self) -> int:
+        return sum(1 for n in self.nodes if n.active)
+
+    @property
+    def live_nodes(self) -> int:
+        return sum(1 for n in self.nodes if not n.retired)
+
+    @property
+    def free_slots(self) -> int:
+        return sum(n.free for n in self.nodes)
+
+    def _add_node(self, active: bool, ready_at: float = 0.0):
+        self.nodes.append(NodeState(
+            id=len(self.nodes), capacity=self.params.node_capacity,
+            provisioned_at=ready_at, active=active,
+            idle_since=ready_at if active else None))
+
+    def _place(self, count: int, ready_at: float) -> int:
+        placed = 0
+        for node in self.nodes:
+            if not node.active or placed >= count:
+                continue
+            take = min(node.free, count - placed)
+            if take > 0:
+                node.used += take
+                node.idle_since = None
+                self.pods.extend((node.id, ready_at) for _ in range(take))
+                placed += take
+        return placed
+
+    def _discharge_pending(self):
+        if self.pending_replicas <= 0:
+            return
+        placed = self._place(self.pending_replicas,
+                             self.time + self.params.pod_start_delay)
+        self.pending_replicas -= placed
+
+    def step(self, arrivals: float, per_replica_rate: float, dt: float):
+        self.time += dt
+        for node in self.nodes:
+            if (not node.active and not node.retired
+                    and node.provisioned_at <= self.time):
+                node.active = True
+                node.idle_since = self.time if node.used == 0 else None
+        self._discharge_pending()
+        capacity = self.ready_replicas * per_replica_rate * dt
+        offered = self.queue_depth + arrivals
+        self.queue_depth = offered - min(offered, capacity)
+        for node in self.nodes:
+            if (node.active and node.idle_since is not None
+                    and self.time - node.idle_since > self.params.node_idle_timeout):
+                node.active = False
+                node.retired = True
+
+    def schedule(self, desired_replicas: int):
+        current = self.total_replicas + self.pending_replicas
+        if desired_replicas > current:
+            want = desired_replicas - current
+            placed = self._place(want, self.time + self.params.pod_start_delay)
+            self.pending_replicas += want - placed
+            return
+        count = current - desired_replicas
+        drop_pending = min(count, self.pending_replicas)
+        self.pending_replicas -= drop_pending
+        for _ in range(count - drop_pending):
+            node_id, _ = self.pods.pop()
+            node = self.nodes[node_id]
+            node.used -= 1
+            if node.used == 0:
+                node.idle_since = self.time
+
+    def provision_node(self) -> bool:
+        if self.live_nodes >= self.params.max_nodes:
+            return False
+        self._add_node(active=False,
+                       ready_at=self.time + self.params.node_provision_delay)
+        return True
+

@@ -220,7 +220,7 @@ def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     cluster, _ = _run_ops(ops, nodes, capacity, initial)
     per_node = {}
     for rep in cluster.state.replicas:
-        per_node[rep.node_id] = per_node.get(rep.node_id, 0) + 1
+        per_node[rep.node_id] = per_node.get(rep.node_id, 0) + rep.count
     for node in cluster.state.nodes:
         used = per_node.get(node.id, 0)
         assert used == node.used

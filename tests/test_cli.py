@@ -6,7 +6,8 @@ from dataclasses import fields
 
 import pytest
 
-from slosim.cli import EXIT_CONFIG, EXIT_OK, main
+from slosim import cli
+from slosim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from slosim.scenario import ConfigError, load_scenario, parse_scenario
 
 MINIMAL = {
@@ -204,6 +205,26 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    # each of these passed `validate` and then crashed `run`, or ran silently
+    @pytest.mark.parametrize("section,key,value", [
+        ("cluster", "node_capacity", 0),
+        ("cluster", "pod_start_delay", -5),
+        ("workload", "burst_interval", 0),
+        ("cluster", "node_capacity", -1),
+        ("cluster", "initial_nodes", 20),       # above max_nodes 12
+        ("workload", "burst_duration", 301),    # above burst_interval 300
+        ("workload", "burst_duration", -10),
+        ("controller", "slo_latency_target", 0),
+        ("controller", "target_utilization", 0),
+        ("controller", "drain_window", 0),
+    ])
+    def test_values_that_break_a_run_rejected(self, tmp_path, capsys,
+                                              section, key, value):
+        path = write_scenario(tmp_path, with_value(section, key, value))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{section}: {key}" in err
+
 
 class TestRunCommand:
     def test_output_layout_per_controller_and_seed(self, tmp_path):
@@ -258,6 +279,19 @@ class TestRunCommand:
     def test_bad_scenario_exits_config_error(self, tmp_path):
         path = write_scenario(tmp_path, dict(QUICK, horizon=-5))
         assert main(["run", str(path), "--quiet"]) == EXIT_CONFIG
+
+    def test_unexpected_error_exits_runtime(self, tmp_path, capsys,
+                                            monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "run", broken_run)
+        path = write_scenario(tmp_path, QUICK)
+        code = main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            "error: ZeroDivisionError: division by zero\n"
 
     def test_csv_header_in_comparison(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)

@@ -1,9 +1,13 @@
 """Cluster engine: serving arithmetic, latency curve, scheduling, nodes."""
 
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from slosim.runner import SimulationError, run
+from slosim.scenario import bundled_scenario
 from slosim.sim import (
     Cluster,
     ClusterParams,
@@ -13,7 +17,7 @@ from slosim.sim import (
     observe_latency,
 )
 
-from helpers import make_cluster
+from helpers import ReferenceCluster, make_cluster
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
@@ -148,8 +152,9 @@ class TestSchedule:
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
         c.schedule(6)
         assert c.state.pending_replicas == 0
+        # one entry per pod, expanded from the cohorts
         starting = [r.ready_at for r in c.state.replicas
-                    if r.ready_at > c.state.time]
+                    for _ in range(r.count) if r.ready_at > c.state.time]
         assert starting == [15.0, 15.0]
 
     def test_overflow_becomes_pending(self):
@@ -248,3 +253,169 @@ def test_random_operations_keep_cluster_sound(ops, nodes, capacity, max_nodes,
                 assert s.free_slots == 0
         cluster.check_invariants()
         assert cluster.state.live_nodes <= params.max_nodes
+
+
+# The cohort model against the per-pod reference: same operations, same
+# answers. A step op advances `ticks` ticks with `arrivals` each; `look`
+# reads ready_replicas afterwards, which moves the ready boundary forward,
+# so skipped reads exercise a boundary that lags behind the clock.
+diff_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), st.integers(0, 30), st.just(0),
+                  st.booleans()),
+        st.tuples(st.just("provision"), st.just(0), st.just(0), st.booleans()),
+        st.tuples(st.just("step"), st.integers(1, 30), st.integers(0, 200),
+                  st.booleans()),
+    ),
+    min_size=1, max_size=20,
+)
+
+
+def assert_same(cluster, ref, look):
+    s = cluster.state
+    if look:
+        assert s.ready_replicas == ref.ready_replicas
+    assert s.time == ref.time
+    assert s.total_replicas == ref.total_replicas
+    assert s.pending_replicas == ref.pending_replicas
+    assert s.active_nodes == ref.active_nodes
+    assert s.live_nodes == ref.live_nodes
+    assert s.free_slots == ref.free_slots
+    assert s.queue_depth == ref.queue_depth
+    assert [(n.used, n.active, n.retired) for n in s.nodes] == \
+        [(n.used, n.active, n.retired) for n in ref.nodes]
+    cluster.check_invariants()
+
+
+@settings(deadline=None)
+@given(
+    ops=diff_ops,
+    nodes=st.integers(0, 3),
+    extra_nodes=st.integers(0, 3),
+    capacity=st.integers(1, 6),
+    initial=st.integers(0, 12),
+    pod_start_delay=st.sampled_from([0.0, 5.0]),
+    dt=st.sampled_from([1.0, 0.1]),
+    provision_delay=st.sampled_from([0.0, 0.5, 3.0]),
+    idle_timeout=st.sampled_from([0.0, 0.5, 4.0]),
+)
+def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
+                                         initial, pod_start_delay, dt,
+                                         provision_delay, idle_timeout):
+    params = ClusterParams(initial_nodes=nodes, node_capacity=capacity,
+                           max_nodes=nodes + extra_nodes,
+                           pod_start_delay=pod_start_delay,
+                           node_provision_delay=provision_delay,
+                           node_idle_timeout=idle_timeout)
+    cluster = Cluster(params, initial_replicas=initial)
+    ref = ReferenceCluster(params, initial_replicas=initial)
+    assert_same(cluster, ref, look=True)
+    for op, arg, arrivals, look in ops:
+        if op == "schedule":
+            cluster.schedule(arg)
+            ref.schedule(arg)
+        elif op == "provision":
+            assert cluster.provision_node() == ref.provision_node()
+        else:
+            for _ in range(arg):
+                cluster.step(arrivals, MODEL, dt)
+                ref.step(arrivals, MODEL.per_replica_rate, dt)
+                assert_same(cluster, ref, look)
+        assert_same(cluster, ref, look)
+    assert_same(cluster, ref, look=True)
+
+
+# One corruption per fact check_invariants guards, with the message that
+# names it. Each applies to any state whose node 0 holds replicas.
+def used_off_by_one(s):
+    s.nodes[0].used += 1
+
+
+def deactivate_busy_node(s):
+    s.nodes[0].active = False
+
+
+def overfill(s):
+    s.nodes[0].capacity = s.nodes[0].used - 1
+
+
+def break_conservation(s):
+    s.cumulative_served += 1.0
+
+
+def misorder_cohorts(s):
+    s.replicas.insert(0, Replica(0, s.time + 100.0))
+
+
+def add_empty_cohort(s):
+    s.replicas.insert(0, Replica(0, 0.0, count=0))
+
+
+def drift(counter):
+    def corrupt(s):
+        setattr(s, counter, getattr(s, counter) + 1)
+    corrupt.__name__ = f"drift_{counter}"
+    return corrupt
+
+
+def track_busy_node_as_idle(s):
+    s.idle[-1] = s.nodes[0]
+
+
+def queue_active_node(s):
+    s.provisioning.append(s.nodes[0])
+
+
+CORRUPTIONS = [
+    (used_off_by_one, "node 0 used mismatch"),
+    (deactivate_busy_node, "replica on inactive node 0"),
+    (overfill, "node 0 overfull"),
+    (break_conservation, "request conservation violated"),
+    (misorder_cohorts, "cohorts out of ready_at order"),
+    (add_empty_cohort, "empty cohort"),
+    (drift("total_replicas"), "replica counter drifted"),
+    (drift("ready_pods"), "ready counter drifted"),
+    (drift("active_nodes"), "active node counter drifted"),
+    (drift("live_nodes"), "live node counter drifted"),
+    (drift("free_slots"), "free slot counter drifted"),
+    (track_busy_node_as_idle, "idle set holds a busy or inactive node"),
+    (queue_active_node, "provisioning queue drifted"),
+]
+corruption_params = pytest.mark.parametrize(
+    "corrupt,message", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
+
+
+def healthy_cluster():
+    """Two busy nodes, cohorts with two ready times, one node on its way."""
+    c = make_cluster(ready=6, nodes=2, node_capacity=4, pod_start_delay=5.0)
+    c.step(0, MODEL, 1.0)
+    c.schedule(8)
+    c.provision_node()
+    assert c.state.ready_replicas == 6
+    return c
+
+
+@corruption_params
+def test_check_invariants_catches_each_corruption(corrupt, message):
+    c = healthy_cluster()
+    c.check_invariants()
+    corrupt(c.state)
+    with pytest.raises(AssertionError, match=message):
+        c.check_invariants()
+
+
+@corruption_params
+def test_run_reports_each_corruption(monkeypatch, corrupt, message):
+    scn = dataclasses.replace(bundled_scenario("bursty"), horizon=600)
+    step = Cluster.step
+    ticks = []
+
+    def corrupting_step(self, *args):
+        step(self, *args)
+        ticks.append(None)
+        if len(ticks) == 400:
+            corrupt(self.state)
+
+    monkeypatch.setattr(Cluster, "step", corrupting_step)
+    with pytest.raises(SimulationError, match=rf"t=399: {message}"):
+        run(scn, "proposed")
