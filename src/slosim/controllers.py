@@ -8,6 +8,7 @@ each replica change.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -24,6 +25,12 @@ STABILIZATION_HOLD = "stabilization_hold"
 COOLDOWN_HOLD = "cooldown_hold"
 COST_FLOOR = "cost_floor"
 TOLERANCE_SKIP = "tolerance_skip"
+
+# Stabilization candidates are kept for the longest window and for at least
+# this long. Any retention that covers the windows gives the same decisions;
+# with less than an hour, fleet_x100's peak resident set rose from 2.5 to
+# 3.0 MB while its traced Python allocations stayed the same.
+MIN_CANDIDATE_RETENTION = 3600.0
 
 
 @dataclass(frozen=True)
@@ -123,19 +130,30 @@ def adjust_for_backlog(n: int, s: SignalSnapshot, cfg: ControllerConfig,
 
 @dataclass
 class GuardrailState:
-    """Stabilization window and cooldown bookkeeping for one controller."""
+    """Stabilization window and cooldown bookkeeping for one controller.
+
+    Candidates are recorded in time order and kept for `keep` seconds, so a
+    window of any length up to `keep` sees every candidate inside it.
+    """
 
     candidates: deque = field(default_factory=deque)  # (t, candidate replicas)
     last_scale_up_t: float = -math.inf
 
-    def record_candidate(self, t: float, candidate: int):
+    def record_candidate(self, t: float, candidate: int,
+                         keep: float = math.inf):
         self.candidates.append((t, candidate))
-        horizon = t - 3600.0  # generous retention; windows are far shorter
-        while self.candidates and self.candidates[0][0] < horizon:
+        while self.candidates[0][0] < t - keep:
             self.candidates.popleft()
 
     def window(self, t: float, length: float) -> list[int]:
-        return [c for (ct, c) in self.candidates if ct >= t - length]
+        """Candidates recorded in [t - length, t], newest first."""
+        cutoff = t - length
+        values = []
+        for ct, c in reversed(self.candidates):
+            if ct < cutoff:
+                break
+            values.append(c)
+        return values
 
 
 def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
@@ -145,7 +163,10 @@ def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
     if candidate < 0:
         raise ValueError("candidate must be >= 0")
     constraints: list[str] = []
-    history.record_candidate(now, candidate)
+    history.record_candidate(now, candidate,
+                             keep=max(MIN_CANDIDATE_RETENTION,
+                                      cfg.scale_up_stabilization,
+                                      cfg.scale_down_stabilization))
     value = candidate
 
     if value < current and now - history.last_scale_up_t < cfg.cooldown_after_scale_up:
@@ -194,12 +215,14 @@ def coordinate_actuation(target: int, cluster: ClusterState,
 
 def vpa_recommend(usage_history: list[float],
                   current_request: float = 1.0) -> float | None:
-    """Recommend p90 observed usage with a 15% safety margin; advisory only."""
+    """Recommend p90 observed usage with a 15% safety margin; advisory only.
+
+    `usage_history` must be in ascending order; the p90 is read by index.
+    """
     if not usage_history:
         return None
-    ordered = sorted(usage_history)
-    idx = min(len(ordered) - 1, math.ceil(0.9 * len(ordered)) - 1)
-    return ordered[idx] * current_request * 1.15
+    idx = math.ceil(0.9 * len(usage_history)) - 1
+    return usage_history[idx] * current_request * 1.15
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +253,7 @@ class HpaController:
         self.with_vpa = with_vpa
         self.history = GuardrailState()
         self.target: int | None = None
-        self.usage: list[float] = []
+        self.usage: list[float] = []  # every CPU metric so far, ascending
 
     def decide(self, s: SignalSnapshot, cluster: ClusterState) -> DecisionRecord:
         cfg = self.cfg
@@ -238,7 +261,9 @@ class HpaController:
             self.target = max(cfg.min_replicas, cluster.total_replicas)
         current = self.target
         metric = cpu_metric(s, self.mu, cfg.control_interval)
-        self.usage.append(metric)
+        # a new value lands after equal ones, where a stable sort of the
+        # samples in arrival order puts it, so the p90 is unchanged
+        bisect.insort(self.usage, metric)
         desired = hpa_desired(current, metric, cfg.cpu_target, cfg.tolerance_band)
         constraints: list[str] = []
         if desired == current and abs(metric / cfg.cpu_target - 1.0) <= cfg.tolerance_band \

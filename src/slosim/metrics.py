@@ -58,18 +58,25 @@ def time_to_scale(trace: RunTrace, wspec: WorkloadSpec, mu: float,
     Only meaningful for bursty workloads with analytically known onsets;
     returns None otherwise. A burst whose demand is never met contributes
     its full duration.
+
+    Onsets ascend and rows ascend in `t`, so one forward index finds each
+    burst's first row and the whole trace is walked once.
     """
     if wspec.kind != "bursty":
         return None
     demand = math.ceil(wspec.base_rate * wspec.burst_amplitude
                        / (mu * target_utilization))
+    rows = trace.rows
+    first = 0  # first row at or after the current onset
     times = []
     for onset in burst_onsets(wspec, trace.horizon):
+        while first < len(rows) and rows[first]["t"] < onset:
+            first += 1
+        end = onset + wspec.burst_duration
         reached = None
-        for row in trace.rows:
-            if row["t"] < onset:
-                continue
-            if row["t"] >= onset + wspec.burst_duration:
+        for i in range(first, len(rows)):
+            row = rows[i]
+            if row["t"] >= end:
                 break
             if row["ready"] >= demand:
                 reached = row["t"] - onset

@@ -14,7 +14,7 @@ from typing import get_type_hints
 
 from .controllers import CONTROLLER_KINDS, ControllerConfig
 from .sim import ClusterParams, ServiceModel
-from .workload import WorkloadSpec
+from .workload import SEED_LIMIT, WorkloadSpec
 
 SCHEMA_VERSION = 1
 
@@ -48,9 +48,17 @@ class ScenarioConfig:
                 f"is not a multiple of tick {self.tick}")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
+        if self.seed < 0 or self.seed + self.repeats > SEED_LIMIT:
+            raise ConfigError(
+                f"seed: seeds {self.seed}..{self.seed + self.repeats - 1} "
+                f"must lie in [0, {SEED_LIMIT})")
         for kind in self.controllers:
             if kind not in CONTROLLER_KINDS:
                 raise ConfigError(f"controllers: unknown kind {kind!r}")
+        if len(set(self.controllers)) < 2:
+            raise ConfigError(
+                "controllers: need at least two distinct kinds to compare, "
+                f"got {', '.join(self.controllers)}")
 
 
 def _number(where: str, value):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KINDS = ("bursty", "queue_driven", "mixed")
+SEED_LIMIT = 2**31  # seeds lie in [0, SEED_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class WorkloadSpec:
             raise ValueError("batch_fraction must be in [0, 1]")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must lie in [0, {SEED_LIMIT})")
+        if self.ramps and self.kind != "queue_driven":
+            raise ValueError("ramps apply only to queue_driven workloads")
 
 
 def _burst_offset(spec: WorkloadSpec) -> float:
@@ -96,7 +101,7 @@ def _noise_factor(spec: WorkloadSpec, t: float, dt: float) -> float:
         return 1.0
     sigma = spec.noise_std
     tick = int(round(t / dt))
-    rng = np.random.default_rng([spec.seed & 0x7FFFFFFF, tick])
+    rng = np.random.default_rng([spec.seed, tick])
     # mean-one log-normal so the noiseless analytic mean is preserved
     return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
 

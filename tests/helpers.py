@@ -1,6 +1,9 @@
-"""Small constructors and a reference cluster model shared by the unit tests."""
+"""Small constructors and reference models shared by the unit tests."""
+
+import math
 
 from slosim.sim import Cluster, ClusterParams, NodeState
+from slosim.workload import burst_onsets
 
 
 def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
@@ -121,3 +124,25 @@ class ReferenceCluster:
                        ready_at=self.time + self.params.node_provision_delay)
         return True
 
+
+
+def nested_time_to_scale(trace, wspec, mu: float,
+                         target_utilization: float) -> float | None:
+    """`slosim.metrics.time_to_scale` as a scan from row 0 for every onset."""
+    if wspec.kind != "bursty":
+        return None
+    demand = math.ceil(wspec.base_rate * wspec.burst_amplitude
+                       / (mu * target_utilization))
+    times = []
+    for onset in burst_onsets(wspec, trace.horizon):
+        reached = None
+        for row in trace.rows:
+            if row["t"] < onset:
+                continue
+            if row["t"] >= onset + wspec.burst_duration:
+                break
+            if row["ready"] >= demand:
+                reached = row["t"] - onset
+                break
+        times.append(reached if reached is not None else wspec.burst_duration)
+    return sum(times) / len(times) if times else None

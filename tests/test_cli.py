@@ -225,6 +225,37 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert f"{section}: {key}" in err
 
+    # seeds outside [0, 2**31) were folded onto another seed's stream
+    @pytest.mark.parametrize("section,key,value", [
+        ("document", "seed", -5),
+        ("document", "seed", 2**31 - 1),        # FULL repeats twice
+        ("workload", "seed", -1),
+        ("workload", "seed", 2**31),
+    ])
+    def test_seed_outside_stream_range_rejected(self, tmp_path, capsys,
+                                                section, key, value):
+        path = write_scenario(tmp_path, with_value(section, key, value))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
+    def test_largest_seeds_accepted(self, tmp_path):
+        doc = with_value("document", "seed", 2**31 - 2)
+        doc["workload"]["seed"] = 2**31 - 1
+        assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+
+    def test_ramps_rejected_off_queue_driven(self, tmp_path, capsys):
+        doc = with_value("workload", "kind", "bursty")  # FULL keeps its ramps
+        assert main(["validate", str(write_scenario(tmp_path, doc))]) \
+            == EXIT_CONFIG
+        assert "workload: ramps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds", [["proposed"], ["proposed", "proposed"]])
+    def test_fewer_than_two_controllers_rejected(self, tmp_path, capsys,
+                                                 kinds):
+        path = write_scenario(tmp_path, dict(QUICK, controllers=kinds))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert "controllers" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_output_layout_per_controller_and_seed(self, tmp_path):
@@ -269,6 +300,23 @@ class TestRunCommand:
               "--controllers", "default_hpa,tuned_hpa", "--quiet"])
         assert (out / "quick" / "tuned_hpa").exists()
         assert not (out / "quick" / "proposed").exists()
+
+    def test_single_controller_flag_exits_config_error(self, tmp_path,
+                                                       capsys):
+        path = write_scenario(tmp_path, QUICK)
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out", str(out),
+                     "--controllers", "proposed", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "controllers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_seed_flag_exits_config_error(self, tmp_path):
+        path = write_scenario(tmp_path, QUICK)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--seed", "-1",
+                     "--quiet"]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_missing_output_dir_created(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)

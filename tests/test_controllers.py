@@ -125,6 +125,17 @@ class TestEnforceGuardrails:
         assert got == 9
         assert STABILIZATION_HOLD in constraints
 
+    def test_scale_down_window_longer_than_an_hour_is_kept_whole(self):
+        cfg = ControllerConfig(scale_down_stabilization=5400.0,
+                               cooldown_after_scale_up=0.0,
+                               max_step_down=50)
+        history = GuardrailState()
+        assert enforce_guardrails(30, 30, cfg, history, 0.0) == (30, [])
+        for t in range(15, 5401, 15):
+            got, constraints = enforce_guardrails(5, 30, cfg, history, float(t))
+            assert (t, got, constraints) == (t, 30, [STABILIZATION_HOLD])
+        assert enforce_guardrails(5, 30, cfg, history, 5415.0) == (5, [])
+
     def test_scale_up_damped_to_window_minimum(self):
         cfg = ControllerConfig(scale_up_stabilization=60.0)
         history = GuardrailState()
@@ -174,7 +185,7 @@ class TestVpaRecommend:
     def test_matches_sorted_percentile_oracle(self, usage):
         ordered = sorted(usage)
         idx = min(len(ordered) - 1, math.ceil(0.9 * len(ordered)) - 1)
-        assert vpa_recommend(usage) == pytest.approx(ordered[idx] * 1.15)
+        assert vpa_recommend(ordered) == pytest.approx(ordered[idx] * 1.15)
 
 
 class TestCpuMetric:
@@ -227,6 +238,24 @@ class TestHpaController:
         ctrl = HpaController(self.cfg(), MU, with_vpa=True)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.vpa_recommendation == pytest.approx(0.5 * 1.15)
+
+    # rates of 0, repeated values and overload give metrics of 0.0, ties and 1.0
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 5.0, 15.0, 200.0])
+                              | st.floats(0, 100),
+                              st.integers(0, 6)),
+                    min_size=1, max_size=60))
+    def test_vpa_recommendation_is_p90_of_every_metric(self, observations):
+        cluster = make_cluster(ready=3).state
+        cfg = self.cfg()
+        ctrl = HpaController(cfg, MU, with_vpa=True)
+        seen = []
+        for i, (rate, ready) in enumerate(observations):
+            s = snap(t=15.0 * (i + 1), rate=rate, ready=ready)
+            seen.append(cpu_metric(s, MU, cfg.control_interval))
+            rec = ctrl.decide(s, cluster)
+            ordered = sorted(seen)
+            p90 = ordered[math.ceil(0.9 * len(ordered)) - 1]
+            assert rec.action.vpa_recommendation == p90 * 1.15
 
 
 class TestSloCostController:

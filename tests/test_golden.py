@@ -5,9 +5,13 @@ that alters outputs on purpose updates the digests here and says why in
 CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
+
+from slosim.runner import run
+from slosim.scenario import bundled_scenario
 
 # (scenario, controller) -> (sha256 of trace.jsonl, sha256 of decisions.jsonl)
 GOLDEN = {
@@ -50,6 +54,18 @@ GOLDEN = {
 }
 
 
+# bundled `bursty` over 6 h with noise_std 0.3 and seed 1: the VPA history
+# grows to 1,440 samples with repeats, and 36 bursts end inside the horizon
+NOISY_GOLDEN = {
+    "hpa_vpa": (
+        "fbb7920fd6f95e8ca7e68367cb8e8f61bc9f9e9588c7fcadd787e5ebdb797e6e",
+        "5a491c6cbffae7a8a8bc382c134a2aa71ef6d2d336e31b63270f442783284f8c"),
+    "proposed": (
+        "94a21c9aa44edff8df5778a5660f15779aa9002cc44c44e5ebe9b8cf1dddeab2",
+        "4e56c7852324807bd3480b355db68abaaa3d704ad439da0d30100ad7b516d35d"),
+}
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -62,5 +78,17 @@ def test_every_bundled_run_is_pinned(all_runs):
 def test_output_bytes_match_golden_digests(all_runs, scenario, controller):
     trace = all_runs[(scenario, controller)]
     trace_sha, decisions_sha = GOLDEN[(scenario, controller)]
+    assert _sha256(trace.to_jsonl()) == trace_sha
+    assert _sha256(trace.decisions_to_jsonl()) == decisions_sha
+
+
+@pytest.mark.parametrize("controller", sorted(NOISY_GOLDEN))
+def test_long_noisy_run_matches_golden_digests(controller):
+    scn = bundled_scenario("bursty")
+    scn = dataclasses.replace(
+        scn, horizon=6 * 3600.0, seed=1,
+        workload=dataclasses.replace(scn.workload, noise_std=0.3))
+    trace = run(scn, controller)
+    trace_sha, decisions_sha = NOISY_GOLDEN[controller]
     assert _sha256(trace.to_jsonl()) == trace_sha
     assert _sha256(trace.decisions_to_jsonl()) == decisions_sha

@@ -1,7 +1,7 @@
 """Run metrics: violation episodes, responsiveness, cost, stability, tables."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slosim.controllers import ControllerConfig
@@ -19,6 +19,8 @@ from slosim.metrics import (
 )
 from slosim.runner import RunTrace
 from slosim.workload import WorkloadSpec
+
+from helpers import nested_time_to_scale
 
 SLO = 0.2
 
@@ -107,6 +109,26 @@ class TestTimeToScale:
     def test_not_applicable_off_bursty_workloads(self):
         wspec = WorkloadSpec(kind="mixed", base_rate=10)
         assert time_to_scale(make_trace(100), wspec, 10.0, 0.7) is None
+
+    # interval 100 s and duration 19 s put the onset at 40.5 s: after the
+    # last row of a 41-tick trace, and a burst running past a 42.5 s horizon
+    @given(tick=st.sampled_from([1.0, 0.5]), n_ticks=st.integers(1, 120),
+           half_interval=st.integers(2, 100),
+           duration_share=st.floats(0, 1),
+           ready=st.lists(st.integers(0, 12), min_size=120, max_size=120))
+    @example(tick=1.0, n_ticks=41, half_interval=200, duration_share=0.19,
+             ready=[0] * 120)
+    @example(tick=0.5, n_ticks=85, half_interval=200, duration_share=0.19,
+             ready=[0] * 84 + [12] * 36)
+    def test_matches_nested_scan_oracle(self, tick, n_ticks, half_interval,
+                                        duration_share, ready):
+        interval = half_interval / 2
+        duration = round(duration_share * half_interval) / 2
+        wspec = WorkloadSpec(kind="bursty", base_rate=7, burst_amplitude=10,
+                             burst_duration=duration, burst_interval=interval)
+        trace = make_trace(n_ticks, ready=ready[:n_ticks], tick=tick)
+        assert time_to_scale(trace, wspec, 10.0, 0.7) == \
+            nested_time_to_scale(trace, wspec, 10.0, 0.7)
 
 
 class TestCostMetrics:
