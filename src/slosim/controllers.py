@@ -69,6 +69,9 @@ class ControllerConfig:
                      "drain_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        for name in ("forecast_alpha", "forecast_beta"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
 
 
 @dataclass(frozen=True)

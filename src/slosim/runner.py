@@ -43,7 +43,7 @@ class RunTrace:
 
 
 def _nodes_incoming(cluster: Cluster) -> int:
-    return cluster.state.live_nodes - cluster.state.active_nodes
+    return len(cluster.state.provisioning)
 
 
 def _provision_nodes(cluster: Cluster, wanted: int) -> int:

@@ -37,15 +37,17 @@ class ScenarioConfig:
     controllers: tuple[str, ...] = CONTROLLER_KINDS
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ConfigError("horizon: must be > 0")
         if self.tick <= 0:
             raise ConfigError("tick: must be > 0")
-        ratio = self.controller.control_interval / self.tick
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ConfigError(
-                f"controller.control_interval: {self.controller.control_interval} "
-                f"is not a multiple of tick {self.tick}")
+        # the run loop counts both in whole ticks
+        for where, value in (("horizon", self.horizon),
+                             ("controller.control_interval",
+                              self.controller.control_interval)):
+            ticks = value / self.tick
+            if not (math.isfinite(ticks) and round(ticks) >= 1
+                    and abs(ticks - round(ticks)) <= 1e-9):
+                raise ConfigError(f"{where}: {value} is not a positive "
+                                  f"multiple of tick {self.tick}")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
         if self.seed < 0 or self.seed + self.repeats > SEED_LIMIT:

@@ -6,14 +6,18 @@ latency follows an M/M/c-flavored closed form with a saturation branch.
 Nothing here is random; all variation enters through the workload generator.
 
 State is kept in aggregate so that a tick costs the same at any fleet size:
-replicas are cohorts of pods placed together on one node, and every fleet
-quantity a tick reads (ready and placed pods, active and live nodes, free
-slots) is a counter updated where it changes. `Cluster.check_invariants`
-recounts all of them from the cohorts and nodes on every tick.
+replicas are cohorts of pods placed together on one node, and nodes are one
+table mapping each active node to the pods on it. A node enters the table
+when it activates and leaves it when it retires; the nodes still being
+provisioned are only their activation times. Placed and ready pods are
+counters updated where they change, and every node quantity (active and
+live nodes, free slots) is read off those tables. `Cluster.check_invariants`
+recounts everything from the cohorts and the tables on every tick.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -34,21 +38,6 @@ class ServiceModel:
             raise ValueError("base_latency must be > 0")
         if self.latency_cap <= self.base_latency:
             raise ValueError("latency_cap must exceed base_latency")
-
-
-@dataclass
-class NodeState:
-    id: int
-    capacity: int            # replica slots
-    used: int = 0
-    provisioned_at: float = 0.0   # becomes active at this time
-    active: bool = False
-    retired: bool = False         # deactivated by idle timeout, never reused
-    idle_since: float | None = None
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.used if self.active else 0
 
 
 @dataclass
@@ -82,7 +71,7 @@ class ClusterParams:
 
 @dataclass
 class ClusterState:
-    """Everything a tick reads, with every fleet quantity kept as a counter.
+    """Everything a tick reads: cohorts, the node table and two counters.
 
     `replicas` holds cohorts in placement order, newest last. Pods are placed
     at the current time with the constant `pod_start_delay >= 0`, and time
@@ -91,31 +80,46 @@ class ClusterState:
     ahead. `ready_replicas` moves that boundary forward when read; every
     cohort crosses it once, so reading is amortized O(1).
 
-    `Cluster` keeps the counters current wherever the quantity changes:
-    `total_replicas` (placed pods), `active_nodes`, `live_nodes` (active plus
-    still-provisioning nodes), `free_slots` (over active nodes), and the
-    ready boundary `ready_cohorts` with its pod count `ready_pods`.
-    `provisioning` holds the nodes not yet active, by `provisioned_at`;
-    `idle` holds the active empty nodes, by `idle_since`.
+    `nodes` maps each active node id to the pods on it, in id order; ids are
+    handed out as nodes activate and a retired node is deleted. `idle` maps
+    each empty active node to the time it emptied, in that order, and
+    `provisioning` holds the activation times of the nodes on their way, in
+    order. `Cluster` keeps `total_replicas` (placed pods) and the ready
+    boundary `ready_cohorts` with its pod count `ready_pods` current wherever
+    they change, and `time` is `ticks` steps of the fixed tick. Replicas sit
+    only on active nodes and every node has `params.node_capacity` slots, so
+    the node quantities are read off the tables.
     """
 
     # the fixed limits this state evolves under; controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
-    nodes: list[NodeState] = field(default_factory=list)  # index == node id
+    ticks: int = 0
+    nodes: dict[int, int] = field(default_factory=dict)
     replicas: list[Replica] = field(default_factory=list)
     pending_replicas: int = 0
     queue_depth: float = 0.0
     cumulative_served: float = 0.0
     cumulative_arrived: float = 0.0
     total_replicas: int = field(default=0, init=False)
-    active_nodes: int = field(default=0, init=False)
-    live_nodes: int = field(default=0, init=False)
-    free_slots: int = field(default=0, init=False)
     ready_cohorts: int = field(default=0, init=False)
     ready_pods: int = field(default=0, init=False)
-    provisioning: deque[NodeState] = field(default_factory=deque, init=False)
-    idle: dict[int, NodeState] = field(default_factory=dict, init=False)
+    provisioning: deque[float] = field(default_factory=deque, init=False)
+    idle: dict[int, float] = field(default_factory=dict, init=False)
+
+    @property
+    def active_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def live_nodes(self) -> int:
+        """Active nodes plus the ones still being provisioned."""
+        return len(self.nodes) + len(self.provisioning)
+
+    @property
+    def free_slots(self) -> int:
+        """Empty replica slots over the active nodes."""
+        return len(self.nodes) * self.params.node_capacity - self.total_replicas
 
     @property
     def ready_replicas(self) -> int:
@@ -159,8 +163,9 @@ class Cluster:
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
         self.params = params
         self.state = ClusterState(params)
+        self._node_ids = itertools.count()
         for _ in range(params.initial_nodes):
-            self._add_node(active=True)
+            self._activate(0.0)
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
         self.state.pending_replicas += max(
@@ -168,53 +173,31 @@ class Cluster:
 
     # -- internal helpers -------------------------------------------------
 
-    def _add_node(self, active: bool, ready_at: float = 0.0):
+    def _activate(self, now: float):
+        # initial nodes come first and provisioning is FIFO with a constant
+        # delay, so ids in activation order are ids in request order, and a
+        # new node holds no replicas, so it starts idle
         s = self.state
-        node = NodeState(id=len(s.nodes), capacity=self.params.node_capacity,
-                         provisioned_at=ready_at)
-        s.nodes.append(node)
-        s.live_nodes += 1
-        if active:
-            self._activate(node, ready_at)
-        else:
-            s.provisioning.append(node)
-
-    def _activate(self, node: NodeState, now: float):
-        # a node holds no replicas before it is active, so it starts idle
-        s = self.state
-        node.active = True
-        node.idle_since = now
-        s.idle[node.id] = node
-        s.active_nodes += 1
-        s.free_slots += node.capacity
-
-    def _retire(self, node: NodeState):
-        # only idle nodes retire, so they give back a whole node of slots
-        s = self.state
-        del s.idle[node.id]
-        node.active = False
-        node.retired = True
-        s.active_nodes -= 1
-        s.live_nodes -= 1
-        s.free_slots -= node.capacity
+        node_id = next(self._node_ids)
+        s.nodes[node_id] = 0
+        s.idle[node_id] = now
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
         s = self.state
+        nodes, capacity = s.nodes, self.params.node_capacity
         want = min(count, s.free_slots)
         placed = 0
-        for node in s.nodes:
+        for node_id, used in nodes.items():
             if placed >= want:
                 break
-            take = min(node.free, want - placed)
+            take = min(capacity - used, want - placed)
             if take > 0:
-                node.used += take
-                if node.idle_since is not None:
-                    del s.idle[node.id]
-                    node.idle_since = None
-                self._add_cohort(node.id, ready_at, take)
+                nodes[node_id] = used + take
+                if used == 0:
+                    del s.idle[node_id]
+                self._add_cohort(node_id, ready_at, take)
                 placed += take
-        s.free_slots -= placed
         s.total_replicas += placed
         return placed
 
@@ -242,7 +225,6 @@ class Cluster:
         s.pending_replicas -= drop_pending
         count -= drop_pending
         s.total_replicas -= count
-        s.free_slots += count
         reps = s.replicas
         while count > 0:
             last = reps[-1]
@@ -254,28 +236,31 @@ class Cluster:
             if last.count == 0:
                 reps.pop()
                 s.ready_cohorts = min(s.ready_cohorts, len(reps))
-            node = s.nodes[last.node_id]
-            node.used -= take
-            if node.used == 0:
-                node.idle_since = s.time
-                s.idle[node.id] = node
+            used = s.nodes[last.node_id] - take
+            s.nodes[last.node_id] = used
+            if used == 0:
+                s.idle[last.node_id] = s.time
 
     # -- spec operations --------------------------------------------------
 
     def step(self, arrivals: float, model: ServiceModel, dt: float):
-        """Advance one tick: activate hardware, serve, discharge backlog."""
+        """Advance one tick of the run's fixed `dt`: activate hardware,
+        serve, discharge backlog."""
         if dt <= 0:
             raise ValueError("dt must be > 0")
         if not math.isfinite(arrivals) or arrivals < 0:
             raise ValueError(f"arrivals must be finite and >= 0, got {arrivals}")
         s = self.state
-        s.time += dt
+        # whole ticks times dt, which a running sum of dt drifts away from
+        s.ticks += 1
+        s.time = float(s.ticks * dt)
 
-        # node_provision_delay is constant, so provisioned_at never
-        # decreases along the queue
+        # node_provision_delay is constant, so activation times never
+        # decrease along the queue
         provisioning = s.provisioning
-        while provisioning and provisioning[0].provisioned_at <= s.time:
-            self._activate(provisioning.popleft(), s.time)
+        while provisioning and provisioning[0] <= s.time:
+            provisioning.popleft()
+            self._activate(s.time)
         self._discharge_pending()
 
         capacity = s.ready_replicas * model.per_replica_rate * dt
@@ -285,14 +270,16 @@ class Cluster:
         s.cumulative_arrived += arrivals
         s.cumulative_served += served
 
-        # a node re-enters `idle` at the end, so idle_since never decreases
-        # along it and the first node not timed out ends the search
+        # a node re-enters `idle` at the end, so the times never decrease
+        # along it and the first node not timed out ends the search; a
+        # retired node leaves the table for good
         timeout = self.params.node_idle_timeout
         while s.idle:
-            node = next(iter(s.idle.values()))
-            if not s.time - node.idle_since > timeout:
+            node_id, idle_since = next(iter(s.idle.items()))
+            if not s.time - idle_since > timeout:
                 break
-            self._retire(node)
+            del s.idle[node_id]
+            del s.nodes[node_id]
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
@@ -310,31 +297,32 @@ class Cluster:
 
     def provision_node(self) -> bool:
         """Request one extra node; refused once max_nodes is reached."""
-        if self.state.live_nodes >= self.params.max_nodes:
+        s = self.state
+        if s.live_nodes >= self.params.max_nodes:
             return False
-        self._add_node(
-            active=False,
-            ready_at=self.state.time + self.params.node_provision_delay)
+        s.provisioning.append(s.time + self.params.node_provision_delay)
         return True
 
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Recount every fact from cohorts and nodes; O(nodes + cohorts)."""
+        """Recount every fact from cohorts and tables; O(nodes + cohorts)."""
         s = self.state
         assert s.queue_depth >= -1e-9, "negative queue"
         assert s.pending_replicas >= 0, "negative pending"
         assert abs(s.cumulative_arrived - s.cumulative_served - s.queue_depth) < 1e-6, \
             "request conservation violated"
 
-        per_node = [0] * len(s.nodes)
+        per_node = dict.fromkeys(s.nodes, 0)
         prev_ready_at = -math.inf
         for rep in s.replicas:
             assert rep.count > 0, "empty cohort"
             assert rep.ready_at >= prev_ready_at, "cohorts out of ready_at order"
             prev_ready_at = rep.ready_at
+            assert rep.node_id in per_node, \
+                f"replica on inactive node {rep.node_id}"
             per_node[rep.node_id] += rep.count
-        total = sum(per_node)
+        total = sum(per_node.values())
         k = s.ready_cohorts
         assert k <= len(s.replicas) and (
             k == 0 or s.replicas[k - 1].ready_at <= s.time), \
@@ -345,32 +333,26 @@ class Cluster:
             "ready counter drifted"
         assert s.total_replicas == total, "replica counter drifted"
 
-        active = live = free = idle = 0
-        for node, placed in zip(s.nodes, per_node):
-            assert placed == node.used, f"node {node.id} used mismatch"
-            assert 0 <= placed <= node.capacity, f"node {node.id} overfull"
-            if node.active:
-                active += 1
-                free += node.capacity - placed
-                if placed == 0:
-                    idle += 1
-                    assert s.idle.get(node.id) is node, \
-                        f"idle node {node.id} not in the idle set"
-            else:
-                assert placed == 0, f"replica on inactive node {node.id}"
-            live += not node.retired
-        assert s.active_nodes == active, "active node counter drifted"
-        assert s.live_nodes == live, "live node counter drifted"
-        assert s.free_slots == free, "free slot counter drifted"
+        nodes = s.nodes
+        assert per_node == nodes, "node {} pod count mismatch".format(
+            next(i for i in nodes if nodes[i] != per_node[i]))
+        # the recount is >= 0, so only the upper bound needs checking
+        capacity = self.params.node_capacity
+        assert max(nodes.values(), default=0) <= capacity, "node {} overfull".format(
+            next(i for i in nodes if nodes[i] > capacity))
+        ids = list(nodes)
+        assert ids == sorted(ids), "nodes out of id order"
 
-        # `idle` holds exactly the active empty nodes, `provisioning` exactly
-        # the live inactive ones, each in the order its scan relies on
-        assert len(s.idle) == idle, "idle set holds a busy or inactive node"
-        assert len(s.provisioning) == live - active and not any(
-            node.active or node.retired for node in s.provisioning), \
-            "provisioning queue drifted"
-        idle_since = [node.idle_since for node in s.idle.values()]
-        provisioned_at = [node.provisioned_at for node in s.provisioning]
+        # `idle` holds exactly the empty nodes of the table, and each queue
+        # is in the time order its scan relies on
+        assert list(map(nodes.get, s.idle)).count(0) == len(s.idle), \
+            "idle set holds a busy or inactive node"
+        assert list(nodes.values()).count(0) == len(s.idle), \
+            "an empty node is missing from the idle set"
+        idle_since = list(s.idle.values())
         assert idle_since == sorted(idle_since), "idle nodes out of order"
-        assert provisioned_at == sorted(provisioned_at), \
+        provisioning = list(s.provisioning)
+        assert provisioning == sorted(provisioning), \
             "provisioning nodes out of order"
+        assert s.live_nodes <= self.params.max_nodes, \
+            "more live nodes than max_nodes"

@@ -1,8 +1,9 @@
 """Small constructors and reference models shared by the unit tests."""
 
 import math
+from dataclasses import dataclass
 
-from slosim.sim import Cluster, ClusterParams, NodeState
+from slosim.sim import Cluster, ClusterParams
 from slosim.workload import burst_onsets
 
 
@@ -17,18 +18,37 @@ def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
     return cluster
 
 
+@dataclass
+class ReferenceNode:
+    """One node of `ReferenceCluster`, kept after it retires."""
+
+    id: int
+    capacity: int            # replica slots
+    used: int = 0
+    provisioned_at: float = 0.0   # becomes active at this time
+    active: bool = False
+    retired: bool = False         # deactivated by idle timeout, never reused
+    idle_since: float | None = None
+
+    @property
+    def free(self) -> int:
+        return self.capacity - self.used if self.active else 0
+
+
 class ReferenceCluster:
     """The cluster model kept as one entry per pod and recounted on every read.
 
     It is the straightforward form of `slosim.sim.Cluster`: every fleet
-    quantity is a scan, every tick visits every node. Property tests run the
-    same operations on both and compare what they report.
+    quantity is a scan, every tick visits every node, and a node keeps its
+    record from the request to the end of the run, id and all. Property
+    tests run the same operations on both and compare what they report.
     """
 
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
         self.params = params
+        self.ticks = 0
         self.time = 0.0
-        self.nodes: list[NodeState] = []
+        self.nodes: list[ReferenceNode] = []
         self.pods: list[tuple[int, float]] = []  # (node_id, ready_at)
         self.pending_replicas = 0
         self.queue_depth = 0.0
@@ -58,7 +78,7 @@ class ReferenceCluster:
         return sum(n.free for n in self.nodes)
 
     def _add_node(self, active: bool, ready_at: float = 0.0):
-        self.nodes.append(NodeState(
+        self.nodes.append(ReferenceNode(
             id=len(self.nodes), capacity=self.params.node_capacity,
             provisioned_at=ready_at, active=active,
             idle_since=ready_at if active else None))
@@ -84,7 +104,8 @@ class ReferenceCluster:
         self.pending_replicas -= placed
 
     def step(self, arrivals: float, per_replica_rate: float, dt: float):
-        self.time += dt
+        self.ticks += 1
+        self.time = float(self.ticks * dt)
         for node in self.nodes:
             if (not node.active and not node.retired
                     and node.provisioned_at <= self.time):

@@ -221,12 +221,12 @@ def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     per_node = {}
     for rep in cluster.state.replicas:
         per_node[rep.node_id] = per_node.get(rep.node_id, 0) + rep.count
-    for node in cluster.state.nodes:
-        used = per_node.get(node.id, 0)
-        assert used == node.used
-        assert 0 <= node.used <= node.capacity
-        if used > 0:
-            assert node.active
+    # the table holds the active nodes only
+    nodes = cluster.state.nodes
+    for node_id, used in nodes.items():
+        assert per_node.get(node_id, 0) == used
+        assert 0 <= used <= cluster.params.node_capacity
+    assert per_node.keys() <= nodes.keys()
     assert cluster.state.live_nodes <= cluster.params.max_nodes
 
 

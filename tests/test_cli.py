@@ -3,11 +3,15 @@
 import copy
 import json
 from dataclasses import fields
+from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from slosim import cli
+from slosim import cli, metrics
 from slosim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from slosim.runner import run
 from slosim.scenario import ConfigError, load_scenario, parse_scenario
 
 MINIMAL = {
@@ -217,13 +221,15 @@ class TestValidateCommand:
         ("controller", "slo_latency_target", 0),
         ("controller", "target_utilization", 0),
         ("controller", "drain_window", 0),
+        ("document", "horizon", 0.4),           # under one tick of 0.5
     ])
     def test_values_that_break_a_run_rejected(self, tmp_path, capsys,
                                               section, key, value):
         path = write_scenario(tmp_path, with_value(section, key, value))
         assert main(["validate", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"{section}: {key}" in err
+        # top-level checks name the field alone
+        assert (f"{key}:" if section == "document" else f"{section}: {key}") in err
 
     # seeds outside [0, 2**31) were folded onto another seed's stream
     @pytest.mark.parametrize("section,key,value", [
@@ -255,6 +261,44 @@ class TestValidateCommand:
         path = write_scenario(tmp_path, dict(QUICK, controllers=kinds))
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert "controllers" in capsys.readouterr().err
+
+
+# Every numeric field of every section, and the edge values the property
+# below sets them to. A huge count is 10**4 rather than 1e300: counts have no
+# upper limit, and a run's cost grows with its node and replica counts.
+NUMERIC_FIELDS = [
+    (section, key) for section, _ in SECTIONS
+    for key, value in (FULL if section == "document" else FULL[section]).items()
+    if key != "schema" and isinstance(value, (int, float))]
+INTEGER_FIELDS = {section: ints for section, ints in SECTIONS}
+EDGE_VALUES = [0, -1, -0.5, 0.5, 1e-9, 2.5, "huge"]
+MAX_TICKS = 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(["bursty", "mixed", "queue_driven"]),
+       edits=st.lists(st.tuples(st.sampled_from(NUMERIC_FIELDS),
+                                st.sampled_from(EDGE_VALUES)),
+                      min_size=1, max_size=4))
+def test_accepted_document_runs_and_reports(name, edits):
+    """A document that parses runs every controller and reports; any other
+    document is refused with ConfigError."""
+    doc = json.loads((resources.files("slosim") / "scenarios"
+                      / f"{name}.json").read_text())
+    doc["horizon"] = 120
+    for (section, key), value in edits:
+        if value == "huge":
+            value = 10**4 if key in INTEGER_FIELDS[section] else 1e300
+        (doc if section == "document" else doc.setdefault(section, {}))[key] = value
+    try:
+        scn = parse_scenario(doc)
+    except ConfigError:
+        return
+    assume(scn.horizon <= MAX_TICKS * scn.tick)
+    for kind in scn.controllers:
+        trace = run(scn, kind)
+        metrics.build_report(trace, scn.workload, scn.controller,
+                             scn.service.per_replica_rate)
 
 
 class TestRunCommand:

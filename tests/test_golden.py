@@ -66,6 +66,26 @@ NOISY_GOLDEN = {
 }
 
 
+# bundled `bursty` with load and fleet limits x100, as the fleet_x100
+# benchmark runs it: 200 to 432 active nodes, and `default_hpa` retires 32
+# of them at once, so first-fit placement and retirement are pinned at the
+# scale the bundled runs never reach (they stay under 20 nodes)
+FLEET_FACTOR = 100
+FLEET_GOLDEN = {
+    "default_hpa": (
+        "9006e8b65966ef31071b7bdca63ed04dd84cc908eaf73b2af0014c936c9f74ab",
+        "1763e70db335ab2bbd8efeb743228095d3515285ac6e37822dbcfa5e87f3ab5e"),
+    "proposed": (
+        "820e70947afa5ac1ffd7cb3d4d98086770a93ff4507cd32ae390074abded9061",
+        "61fe21af2cdbb889629feffb21567bf3db4e00921b6fef5bba0cb9b05cec1c99"),
+}
+
+
+def _scaled(obj, factor: int, *names: str):
+    return dataclasses.replace(
+        obj, **{name: getattr(obj, name) * factor for name in names})
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -90,5 +110,22 @@ def test_long_noisy_run_matches_golden_digests(controller):
         workload=dataclasses.replace(scn.workload, noise_std=0.3))
     trace = run(scn, controller)
     trace_sha, decisions_sha = NOISY_GOLDEN[controller]
+    assert _sha256(trace.to_jsonl()) == trace_sha
+    assert _sha256(trace.decisions_to_jsonl()) == decisions_sha
+
+
+@pytest.mark.parametrize("controller", sorted(FLEET_GOLDEN))
+def test_fleet_scale_run_matches_golden_digests(controller):
+    scn = bundled_scenario("bursty")
+    scn = dataclasses.replace(
+        scn,
+        workload=_scaled(scn.workload, FLEET_FACTOR, "base_rate"),
+        cluster=_scaled(scn.cluster, FLEET_FACTOR, "initial_nodes",
+                        "max_nodes"),
+        controller=_scaled(scn.controller, FLEET_FACTOR, "max_replicas",
+                           "max_step_up", "max_step_down"))
+    assert scn.horizon == 3600.0
+    trace = run(scn, controller)
+    trace_sha, decisions_sha = FLEET_GOLDEN[controller]
     assert _sha256(trace.to_jsonl()) == trace_sha
     assert _sha256(trace.decisions_to_jsonl()) == decisions_sha

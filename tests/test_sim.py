@@ -81,7 +81,15 @@ class TestStep:
         assert c.state.active_nodes == 1
         c.step(0, MODEL, 1.0)
         assert c.state.active_nodes == 0
-        assert c.state.nodes[0].retired
+        assert 0 not in c.state.nodes  # a retired node is dropped
+
+    def test_time_is_a_whole_number_of_ticks(self):
+        # a running sum of 0.1 reads 600.0000000000679 after 6000 ticks
+        c = make_cluster(ready=1)
+        for _ in range(6000):
+            c.step(0, MODEL, 0.1)
+        assert c.state.ticks == 6000
+        assert c.state.time == 600.0
 
 
 class TestObserveLatency:
@@ -166,10 +174,9 @@ class TestSchedule:
     def test_scale_down_removes_newest_first(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2)
         c.schedule(4)  # two more, newest land on node 1
-        assert c.state.nodes[1].used == 2
+        assert c.state.nodes[1] == 2
         c.schedule(2)
-        assert c.state.nodes[1].used == 0
-        assert c.state.nodes[0].used == 2
+        assert c.state.nodes == {0: 2, 1: 0}
 
     def test_scale_down_drops_pending_before_placed(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=4)
@@ -182,7 +189,7 @@ class TestSchedule:
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert [n.used for n in c.state.nodes] == [4, 1, 0]
+        assert list(c.state.nodes.values()) == [4, 1, 0]
 
 
 class TestProvisionNode:
@@ -208,7 +215,8 @@ class TestProvisionNode:
     def test_refused_at_max_nodes(self):
         c = make_cluster(ready=0, nodes=2, max_nodes=2)
         assert not c.provision_node()
-        assert len(c.state.nodes) == 2
+        assert c.state.live_nodes == 2
+        assert not c.state.provisioning
 
 
 # Random operation sequences; every intermediate state must stay sound.
@@ -282,8 +290,8 @@ def assert_same(cluster, ref, look):
     assert s.live_nodes == ref.live_nodes
     assert s.free_slots == ref.free_slots
     assert s.queue_depth == ref.queue_depth
-    assert [(n.used, n.active, n.retired) for n in s.nodes] == \
-        [(n.used, n.active, n.retired) for n in ref.nodes]
+    # the reference keeps every node it ever requested, retired ones too
+    assert list(s.nodes.values()) == [n.used for n in ref.nodes if n.active]
     cluster.check_invariants()
 
 
@@ -328,15 +336,15 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 # One corruption per fact check_invariants guards, with the message that
 # names it. Each applies to any state whose node 0 holds replicas.
 def used_off_by_one(s):
-    s.nodes[0].used += 1
+    s.nodes[0] += 1
 
 
 def deactivate_busy_node(s):
-    s.nodes[0].active = False
+    del s.nodes[0]
 
 
 def overfill(s):
-    s.nodes[0].capacity = s.nodes[0].used - 1
+    s.params.node_capacity = s.nodes[0] - 1
 
 
 def break_conservation(s):
@@ -359,15 +367,47 @@ def drift(counter):
 
 
 def track_busy_node_as_idle(s):
-    s.idle[-1] = s.nodes[0]
+    s.idle[0] = s.time
 
 
-def queue_active_node(s):
-    s.provisioning.append(s.nodes[0])
+def misorder_provisioning(s):
+    s.provisioning.extend((s.time + 2.0, s.time + 1.0))
+
+
+def negative_queue(s):
+    s.queue_depth = -1.0
+
+
+def negative_pending(s):
+    s.pending_replicas = -1
+
+
+def count_past_the_cohorts(s):
+    s.ready_cohorts = len(s.replicas) + 1
+
+
+def misorder_nodes(s):
+    s.nodes[-1] = 0
+
+
+def untrack_empty_node(s):
+    s.nodes[max(s.nodes) + 1] = 0
+
+
+def misorder_idle(s):
+    first = max(s.nodes) + 1
+    for node_id, idle_since in ((first, s.time), (first + 1, s.time - 1.0)):
+        s.nodes[node_id] = 0
+        s.idle[node_id] = idle_since
+
+
+def exceed_max_nodes(s):
+    last = s.provisioning[-1] if s.provisioning else s.time
+    s.provisioning.extend([last] * (s.params.max_nodes - s.live_nodes + 1))
 
 
 CORRUPTIONS = [
-    (used_off_by_one, "node 0 used mismatch"),
+    (used_off_by_one, "node 0 pod count mismatch"),
     (deactivate_busy_node, "replica on inactive node 0"),
     (overfill, "node 0 overfull"),
     (break_conservation, "request conservation violated"),
@@ -375,11 +415,15 @@ CORRUPTIONS = [
     (add_empty_cohort, "empty cohort"),
     (drift("total_replicas"), "replica counter drifted"),
     (drift("ready_pods"), "ready counter drifted"),
-    (drift("active_nodes"), "active node counter drifted"),
-    (drift("live_nodes"), "live node counter drifted"),
-    (drift("free_slots"), "free slot counter drifted"),
     (track_busy_node_as_idle, "idle set holds a busy or inactive node"),
-    (queue_active_node, "provisioning queue drifted"),
+    (misorder_provisioning, "provisioning nodes out of order"),
+    (negative_queue, "negative queue"),
+    (negative_pending, "negative pending"),
+    (count_past_the_cohorts, "a cohort counted ready is not ready"),
+    (misorder_nodes, "nodes out of id order"),
+    (untrack_empty_node, "an empty node is missing from the idle set"),
+    (misorder_idle, "idle nodes out of order"),
+    (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
 corruption_params = pytest.mark.parametrize(
     "corrupt,message", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
