@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -110,13 +111,21 @@ def hpa_desired(current: int, metric: float, target: float,
     return math.ceil(current * ratio)
 
 
+def replicas_for(demand: float) -> int:
+    """Whole replicas covering `demand`. A demand past the float range (the
+    largest accepted rates over the smallest accepted service rates) reads
+    as the largest float, which exceeds every replica bound, so the
+    guardrails clamp it like any other."""
+    return math.ceil(min(demand, sys.float_info.max))
+
+
 def estimate_slo_demand(s: SignalSnapshot, cfg: ControllerConfig,
                         predicted_rate: float, mu: float) -> int:
     """Stage 2: replica requirement from forecast capacity and SLO severity."""
-    n_cap = math.ceil(predicted_rate / (mu * cfg.target_utilization))
+    n_cap = replicas_for(predicted_rate / (mu * cfg.target_utilization))
     if s.latency > cfg.slo_latency_target:
         severity = max(1.0, s.latency / cfg.slo_latency_target)
-        return max(n_cap, math.ceil(s.ready_replicas * severity))
+        return max(n_cap, replicas_for(s.ready_replicas * severity))
     return n_cap
 
 
@@ -127,7 +136,8 @@ def adjust_for_backlog(n: int, s: SignalSnapshot, cfg: ControllerConfig,
         raise ValueError("n must be >= 0")
     if s.queue <= 0:
         return n
-    n_drain = math.ceil(s.arrival_rate / mu + s.queue / (mu * cfg.drain_window))
+    n_drain = replicas_for(s.arrival_rate / mu
+                           + s.queue / (mu * cfg.drain_window))
     return max(n, n_drain)
 
 

@@ -8,14 +8,11 @@ import math
 import statistics
 from dataclasses import asdict, dataclass, fields
 
-from .controllers import ControllerConfig
+from .controllers import ControllerConfig, replicas_for
 from .runner import RunTrace
 from .workload import WorkloadSpec, burst_onsets
 
 OSCILLATION_WINDOW = 120.0  # seconds within which a direction flip counts
-
-CSV_HEADER = ("controller,slo_count,slo_duration_s,ttscale_s,node_hours,"
-              "replica_hours,cost,events,oscillations,churn")
 
 
 @dataclass(frozen=True)
@@ -32,16 +29,46 @@ class MetricsReport:
     replica_churn: int
 
 
+# each reduction `compare` adds to a row -> the MetricsReport field it reduces
+REDUCTIONS = {
+    "slo_duration_reduction": "slo_violation_duration",
+    "time_to_scale_reduction": "mean_time_to_scale",
+    "node_hours_reduction": "node_hours",
+    "cost_reduction": "cost",
+}
+
+# the comparison CSV's column for each key of a `compare` row, in order:
+# every MetricsReport field, then every reduction
+CSV_COLUMNS = {
+    "controller": "controller",
+    "slo_violation_count": "slo_count",
+    "slo_violation_duration": "slo_duration_s",
+    "mean_time_to_scale": "ttscale_s",
+    "node_hours": "node_hours",
+    "replica_hours": "replica_hours",
+    "cost": "cost",
+    "scale_event_count": "events",
+    "oscillation_count": "oscillations",
+    "replica_churn": "churn",
+    "slo_duration_reduction": "slo_duration_red",
+    "time_to_scale_reduction": "ttscale_red",
+    "node_hours_reduction": "node_hours_red",
+    "cost_reduction": "cost_red",
+}
+# the columns of the report fields alone
+CSV_HEADER = ",".join(CSV_COLUMNS[f.name] for f in fields(MetricsReport))
+
+
 def slo_violations(trace: RunTrace, slo_latency_target: float
                    ) -> tuple[int, float]:
     """Count maximal runs of consecutive ticks with latency above target."""
-    if not trace.rows:
+    if not trace.latency:
         raise ValueError("empty trace")
     count = 0
     duration = 0.0
     in_episode = False
-    for row in trace.rows:
-        if row["latency"] > slo_latency_target:
+    for latency in trace.latency:
+        if latency > slo_latency_target:
             if not in_episode:
                 count += 1
                 in_episode = True
@@ -59,27 +86,28 @@ def time_to_scale(trace: RunTrace, wspec: WorkloadSpec, mu: float,
     returns None otherwise. A burst whose demand is never met contributes
     its full duration.
 
-    Onsets ascend and rows ascend in `t`, so one forward index finds each
-    burst's first row and the whole trace is walked once.
+    Onsets ascend and row k starts at `k * tick`, so one forward index finds
+    each burst's first row and the whole trace is walked once.
     """
     if wspec.kind != "bursty":
         return None
-    demand = math.ceil(wspec.base_rate * wspec.burst_amplitude
-                       / (mu * target_utilization))
-    rows = trace.rows
+    demand = replicas_for(wspec.base_rate * wspec.burst_amplitude
+                          / (mu * target_utilization))
+    ready, tick = trace.ready, trace.tick
+    n = len(ready)
     first = 0  # first row at or after the current onset
     times = []
     for onset in burst_onsets(wspec, trace.horizon):
-        while first < len(rows) and rows[first]["t"] < onset:
+        while first < n and first * tick < onset:
             first += 1
         end = onset + wspec.burst_duration
         reached = None
-        for i in range(first, len(rows)):
-            row = rows[i]
-            if row["t"] >= end:
+        for k in range(first, n):
+            t = k * tick
+            if t >= end:
                 break
-            if row["ready"] >= demand:
-                reached = row["t"] - onset
+            if ready[k] >= demand:
+                reached = t - onset
                 break
         times.append(reached if reached is not None else wspec.burst_duration)
     return sum(times) / len(times) if times else None
@@ -87,10 +115,10 @@ def time_to_scale(trace: RunTrace, wspec: WorkloadSpec, mu: float,
 
 def cost_metrics(trace: RunTrace, cfg: ControllerConfig
                  ) -> tuple[float, float, float]:
-    if not trace.rows:
+    if not trace.nodes_active:
         raise ValueError("empty trace")
-    node_hours = sum(r["nodes_active"] for r in trace.rows) * trace.tick / 3600.0
-    replica_hours = sum(r["ready"] for r in trace.rows) * trace.tick / 3600.0
+    node_hours = sum(trace.nodes_active) * trace.tick / 3600.0
+    replica_hours = sum(trace.ready) * trace.tick / 3600.0
     cost = (node_hours * cfg.cost_per_node_hour
             + replica_hours * cfg.cost_per_replica_hour)
     return node_hours, replica_hours, cost
@@ -100,18 +128,18 @@ def scale_events(trace: RunTrace) -> list[tuple[float, int]]:
     """(time, delta) for every change of the applied replica target."""
     events = []
     applied = trace.initial_replicas
-    for row in trace.rows:
-        action = row["action"]
-        if action is not None and action["target_replicas"] != applied:
-            events.append((row["t"], action["target_replicas"] - applied))
-            applied = action["target_replicas"]
+    for k, rec in zip(trace.decision_rows, trace.decisions):
+        target = rec.action.target_replicas
+        if target != applied:
+            events.append((k * trace.tick, target - applied))
+            applied = target
     return events
 
 
 def stability_metrics(trace: RunTrace,
                       window: float = OSCILLATION_WINDOW
                       ) -> tuple[int, int, int]:
-    if not trace.rows:
+    if not trace.arrivals:
         raise ValueError("empty trace")
     events = scale_events(trace)
     churn = sum(abs(d) for _, d in events)
@@ -172,12 +200,8 @@ def compare(reports: list[MetricsReport]) -> list[dict]:
     rows = []
     for rep in reports:
         row = asdict(rep)
-        row["slo_duration_reduction"] = _reduction(
-            base.slo_violation_duration, rep.slo_violation_duration)
-        row["time_to_scale_reduction"] = _reduction(
-            base.mean_time_to_scale, rep.mean_time_to_scale)
-        row["node_hours_reduction"] = _reduction(base.node_hours, rep.node_hours)
-        row["cost_reduction"] = _reduction(base.cost, rep.cost)
+        for key, name in REDUCTIONS.items():
+            row[key] = _reduction(getattr(base, name), getattr(rep, name))
         rows.append(row)
     return rows
 
@@ -192,15 +216,7 @@ def _csv_cell(value) -> str:
 
 def comparison_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    buf.write(CSV_HEADER + ",slo_duration_red,ttscale_red,node_hours_red,"
-              "cost_red\n")
+    buf.write(",".join(CSV_COLUMNS.values()) + "\n")
     for row in rows:
-        cells = [row["controller"], row["slo_violation_count"],
-                 row["slo_violation_duration"], row["mean_time_to_scale"],
-                 row["node_hours"], row["replica_hours"], row["cost"],
-                 row["scale_event_count"], row["oscillation_count"],
-                 row["replica_churn"], row["slo_duration_reduction"],
-                 row["time_to_scale_reduction"], row["node_hours_reduction"],
-                 row["cost_reduction"]]
-        buf.write(",".join(_csv_cell(c) for c in cells) + "\n")
+        buf.write(",".join(_csv_cell(row[key]) for key in CSV_COLUMNS) + "\n")
     return buf.getvalue()

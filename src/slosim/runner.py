@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import workload
@@ -17,6 +20,13 @@ from .sim import Cluster
 # reacts for controllers that emit no capacity hints (baseline behavior)
 PENDING_TRIGGER_DELAY = 45.0
 
+# one trace.jsonl line; every value is `%s`-formatted, which writes an int
+# or a finite float as `json` does
+_ROW_TEMPLATE = (
+    '{"t": %s, "arrivals": %s, "ready": %s, "starting": %s, "pending": %s, '
+    '"nodes_active": %s, "queue": %s, "latency": %s, "utilization": %s, '
+    '"action": %s, "decision_id": %s}\n')
+
 
 class SimulationError(RuntimeError):
     """An internal invariant broke mid-run; the trace cannot be trusted."""
@@ -24,36 +34,138 @@ class SimulationError(RuntimeError):
 
 @dataclass
 class RunTrace:
+    """One run's per-tick trace and its decision log, kept as columns.
+
+    Row k covers the tick that starts at `k * tick`. The count columns are
+    lists, so they hold any int; `arrivals` exceeds 2**63 at the largest
+    accepted rates. `latency` is a list too: on row 0, with no replica
+    ready, it is the latency cap as given, which may be an int. `queue` and
+    `utilization` are always floats. `decisions[i]` was made during row
+    `decision_rows[i]`, and its action is that row's action. Rows are added
+    with `append` only, which keeps the columns the same length.
+    """
+
     controller: str
     seed: int
     tick: float
     horizon: float
     initial_replicas: int
-    rows: list[dict] = field(default_factory=list)
+    arrivals: list[int] = field(default_factory=list)
+    ready: list[int] = field(default_factory=list)
+    starting: list[int] = field(default_factory=list)
+    pending: list[int] = field(default_factory=list)
+    nodes_active: list[int] = field(default_factory=list)
+    queue: array = field(default_factory=lambda: array("d"))
+    latency: list[float] = field(default_factory=list)
+    utilization: array = field(default_factory=lambda: array("d"))
     decisions: list[DecisionRecord] = field(default_factory=list)
+    decision_rows: list[int] = field(default_factory=list)
+
+    def append(self, arrivals: int, ready: int, starting: int, pending: int,
+               nodes_active: int, queue: float, latency: float,
+               utilization: float, decision: DecisionRecord | None = None):
+        """Add the next row, with the decision made during its tick if any."""
+        if decision is not None:
+            self.decision_rows.append(len(self.arrivals))
+            self.decisions.append(decision)
+        self.arrivals.append(arrivals)
+        self.ready.append(ready)
+        self.starting.append(starting)
+        self.pending.append(pending)
+        self.nodes_active.append(nodes_active)
+        self.queue.append(queue)
+        self.latency.append(latency)
+        self.utilization.append(utilization)
+
+    @property
+    def rows(self) -> TraceRows:
+        """The rows as the dicts `to_jsonl` writes, built when indexed."""
+        return TraceRows(self)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(row) + "\n" for row in self.rows)
+        n = len(self.arrivals)
+        tick = self.tick
+        actions = ["null"] * n
+        decision_ids = ["null"] * n
+        for i, (k, rec) in enumerate(zip(self.decision_rows, self.decisions)):
+            actions[k] = json.dumps(rec.action.__dict__)
+            decision_ids[k] = i
+        return "".join(map(_ROW_TEMPLATE.__mod__, zip(
+            [k * tick for k in range(n)], self.arrivals, self.ready,
+            self.starting, self.pending, self.nodes_active,
+            _as_json(self.queue), _as_json(self.latency),
+            _as_json(self.utilization), actions, decision_ids)))
 
     def decisions_to_jsonl(self) -> str:
-        out = []
-        for rec in self.decisions:
-            out.append(json.dumps(dataclasses.asdict(rec)) + "\n")
-        return "".join(out)
+        return "".join(json.dumps(_record_dict(rec)) + "\n"
+                       for rec in self.decisions)
+
+
+class TraceRows(Sequence):
+    """Read-only view of a `RunTrace` as one dict per row, built on access."""
+
+    def __init__(self, trace: RunTrace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.arrivals)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # counts back from the end; IndexError past it
+        tr = self._trace
+        i = bisect.bisect_left(tr.decision_rows, k)
+        if i == len(tr.decision_rows) or tr.decision_rows[i] != k:
+            i = None
+        return {
+            "t": k * tr.tick,
+            "arrivals": tr.arrivals[k],
+            "ready": tr.ready[k],
+            "starting": tr.starting[k],
+            "pending": tr.pending[k],
+            "nodes_active": tr.nodes_active[k],
+            "queue": tr.queue[k],
+            "latency": tr.latency[k],
+            "utilization": tr.utilization[k],
+            "action": None if i is None else dict(tr.decisions[i].action.__dict__),
+            "decision_id": i,
+        }
+
+
+def _as_json(column):
+    """`column` ready for `%s`: itself when every value is finite, else each
+    value as `json` writes it (`NaN`, `Infinity`, `-Infinity`)."""
+    try:
+        if all(map(math.isfinite, column)):
+            return column
+    except OverflowError:  # an int beyond the float range, written whole
+        pass
+    return list(map(json.dumps, column))
+
+
+def _record_dict(rec: DecisionRecord) -> dict:
+    """`dataclasses.asdict(rec)`, built from `__dict__`; the snapshot and the
+    action are the record's only nested dataclasses."""
+    out = dict(rec.__dict__)
+    out["snapshot"] = rec.snapshot.__dict__
+    out["action"] = rec.action.__dict__
+    return out
 
 
 def _nodes_incoming(cluster: Cluster) -> int:
     return len(cluster.state.provisioning)
 
 
-def _provision_nodes(cluster: Cluster, wanted: int) -> int:
-    """Provision up to `wanted` nodes beyond those already on the way."""
-    to_add = wanted - _nodes_incoming(cluster)
-    added = 0
-    for _ in range(max(0, to_add)):
-        if cluster.provision_node():
-            added += 1
-    return added
+def _provision_nodes(cluster: Cluster, wanted: int):
+    """Provision up to `wanted` nodes beyond those already on the way.
+
+    Nothing frees a node slot in between, so after the first refusal every
+    further request would be refused too.
+    """
+    for _ in range(wanted - _nodes_incoming(cluster)):
+        if not cluster.provision_node():
+            break
 
 
 def run(scn: ScenarioConfig, controller_kind: str,
@@ -82,22 +194,14 @@ def run(scn: ScenarioConfig, controller_kind: str,
         snap = sample(cluster.state, rate, scn.service, prev_latency)
         prev_latency = snap.latency
 
-        action_obj = None
-        decision_id = None
+        rec = None
         if (k + 1) % interval_ticks == 0:
             rec = controller.decide(snap, cluster.state)
-            decision_id = len(trace.decisions)
-            trace.decisions.append(rec)
             cluster.schedule(rec.action.target_replicas)
             if rec.action.node_capacity_hint:
                 wanted = math.ceil(rec.action.node_capacity_hint
                                    / scn.cluster.node_capacity)
                 _provision_nodes(cluster, wanted)
-            action_obj = {
-                "target_replicas": rec.action.target_replicas,
-                "node_capacity_hint": rec.action.node_capacity_hint,
-                "vpa_recommendation": rec.action.vpa_recommendation,
-            }
 
         if not controller.emits_node_hints:
             # simulated cluster autoscaler: react to persistent pending pods
@@ -120,18 +224,8 @@ def run(scn: ScenarioConfig, controller_kind: str,
 
         s = cluster.state
         ready = s.ready_replicas
-        trace.rows.append({
-            "t": t,
-            "arrivals": arrivals,
-            "ready": ready,
-            "starting": s.total_replicas - ready,
-            "pending": s.pending_replicas,
-            "nodes_active": s.active_nodes,
-            "queue": s.queue_depth,
-            "latency": snap.latency,
-            "utilization": snap.utilization,
-            "action": action_obj,
-            "decision_id": decision_id,
-        })
+        trace.append(arrivals, ready, s.total_replicas - ready,
+                     s.pending_replicas, s.active_nodes, s.queue_depth,
+                     snap.latency, snap.utilization, rec)
 
     return trace

@@ -41,7 +41,7 @@ class ServiceModel:
 
 
 @dataclass
-class Replica:
+class Cohort:
     """A cohort: `count` pods placed on one node at once, ready at `ready_at`."""
 
     node_id: int
@@ -96,7 +96,7 @@ class ClusterState:
     time: float = 0.0
     ticks: int = 0
     nodes: dict[int, int] = field(default_factory=dict)
-    replicas: list[Replica] = field(default_factory=list)
+    replicas: list[Cohort] = field(default_factory=list)
     pending_replicas: int = 0
     queue_depth: float = 0.0
     cumulative_served: float = 0.0
@@ -209,7 +209,7 @@ class Cluster:
             if last.node_id == node_id and last.ready_at == ready_at:
                 last.count += count
                 return
-        reps.append(Replica(node_id, ready_at, count))
+        reps.append(Cohort(node_id, ready_at, count))
 
     def _discharge_pending(self):
         if self.state.pending_replicas <= 0:

@@ -1,8 +1,12 @@
 """Small constructors and reference models shared by the unit tests."""
 
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
+from slosim.controllers import DecisionRecord, ScalingAction
+from slosim.signals import SignalSnapshot
 from slosim.sim import Cluster, ClusterParams
 from slosim.workload import burst_onsets
 
@@ -145,6 +149,26 @@ class ReferenceCluster:
                        ready_at=self.time + self.params.node_provision_delay)
         return True
 
+
+def make_decision(target: int, t: float = 0.0) -> DecisionRecord:
+    """A decision record that sets `target` replicas and explains nothing."""
+    snapshot = SignalSnapshot(t=t, latency=0.0, queue=0.0, utilization=0.0,
+                              pending=0, arrival_rate=0.0, ready_replicas=0)
+    return DecisionRecord(t=t, snapshot=snapshot, slo_demand=target,
+                          backlog_adjusted=target, post_guardrail=target,
+                          constraints_applied=(), action=ScalingAction(target),
+                          reason="")
+
+
+def json_trace_lines(trace) -> str:
+    """`RunTrace.to_jsonl` as `json` writes each row dict."""
+    return "".join(json.dumps(row) + "\n" for row in trace.rows)
+
+
+def json_decision_lines(trace) -> str:
+    """`RunTrace.decisions_to_jsonl` as `json` writes `asdict` of each record."""
+    return "".join(json.dumps(dataclasses.asdict(rec)) + "\n"
+                   for rec in trace.decisions)
 
 
 def nested_time_to_scale(trace, wspec, mu: float,

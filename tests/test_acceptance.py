@@ -24,7 +24,9 @@ from slosim.controllers import (
 )
 from slosim.runner import RunTrace, run
 from slosim.signals import ForecastState, SignalSnapshot, forecast_horizon, forecast_update
-from slosim.sim import Cluster, ClusterParams, ClusterState, Replica, ServiceModel, observe_latency
+from slosim.sim import Cluster, ClusterParams, ClusterState, Cohort, ServiceModel, observe_latency
+
+from helpers import make_decision
 
 SUITE = settings(max_examples=1000, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -347,7 +349,7 @@ def test_criterion_6_latency_closed_form_oracle():
     mu = 10.0
     for rate, ready, queue, base, cap, expected in LATENCY_CASES:
         state = ClusterState(queue_depth=queue)
-        state.replicas.extend(Replica(0, 0.0) for _ in range(ready))
+        state.replicas.extend(Cohort(0, 0.0) for _ in range(ready))
         model = ServiceModel(mu, base, cap)
         got = observe_latency(state, rate, model)
         assert abs(got - expected) < 1e-9, (rate, ready, queue, got, expected)
@@ -375,28 +377,21 @@ def test_criterion_6_forecast_linear_convergence():
 # --------------------------------------------------------------------------
 
 def random_trace(seed):
+    """A trace of random rows whose decisions fall on random ticks."""
     rng = random.Random(seed)
     tick = rng.choice([1.0, 2.0])
     n = rng.randint(20, 120)
     initial = rng.randint(1, 5)
-    rows = []
-    applied = initial
+    trace = RunTrace(controller="proposed", seed=seed, tick=tick,
+                     horizon=n * tick, initial_replicas=initial)
     for k in range(n):
-        action = None
+        decision = None
         if rng.random() < 0.25:
-            applied = rng.randint(1, 12)
-            action = {"target_replicas": applied,
-                      "node_capacity_hint": None, "vpa_recommendation": None}
-        rows.append({
-            "t": k * tick, "arrivals": rng.randint(0, 50),
-            "ready": rng.randint(0, 20), "starting": 0, "pending": 0,
-            "nodes_active": rng.randint(0, 5),
-            "queue": float(rng.randint(0, 100)),
-            "latency": rng.uniform(0.05, 0.4), "utilization": 0.0,
-            "action": action, "decision_id": None,
-        })
-    return RunTrace(controller="proposed", seed=seed, tick=tick,
-                    horizon=n * tick, initial_replicas=initial, rows=rows)
+            decision = make_decision(rng.randint(1, 12), k * tick)
+        trace.append(rng.randint(0, 50), rng.randint(0, 20), 0, 0,
+                     rng.randint(0, 5), float(rng.randint(0, 100)),
+                     rng.uniform(0.05, 0.4), 0.0, decision)
+    return trace
 
 
 def walk_episodes(rows, target, tick):

@@ -6,7 +6,7 @@ from dataclasses import fields
 from importlib import resources
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slosim import cli, metrics
@@ -280,6 +280,9 @@ MAX_TICKS = 200
        edits=st.lists(st.tuples(st.sampled_from(NUMERIC_FIELDS),
                                 st.sampled_from(EDGE_VALUES)),
                       min_size=1, max_size=4))
+# demand past the float range: 1e300 rps over 1e-9 rps per replica
+@example(name="bursty", edits=[(("workload", "base_rate"), "huge"),
+                               (("service", "per_replica_rate"), 1e-9)])
 def test_accepted_document_runs_and_reports(name, edits):
     """A document that parses runs every controller and reports; any other
     document is refused with ConfigError."""

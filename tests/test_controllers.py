@@ -1,6 +1,7 @@
 """Scaling policies: ratio rule, demand stages, guardrails, actuation."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -70,6 +71,20 @@ class TestEstimateSloDemand:
         n = estimate_slo_demand(snap(latency=0.2, ready=50), self.CFG, 28.0, MU)
         assert n == 4
 
+    @pytest.mark.parametrize("latency,ready,predicted", [
+        (0.1, 4, 1e300),        # 1e300 rps over 1e-9 rps per replica
+        (1e300, 10**9, 0.0),    # a 1e300 s latency over a 0.2 s target
+    ])
+    def test_demand_past_the_float_range_reads_as_the_largest_float(
+            self, latency, ready, predicted):
+        n = estimate_slo_demand(snap(latency=latency, ready=ready), self.CFG,
+                                predicted, 1e-9)
+        assert n == int(sys.float_info.max)
+        got, constraints = enforce_guardrails(n, 4, ControllerConfig(
+            max_step_up=10**400), GuardrailState(), 0.0)
+        assert got == ControllerConfig().max_replicas
+        assert constraints == [BOUND_CLAMP]
+
 
 class TestAdjustForBacklog:
     CFG = ControllerConfig(drain_window=25.0)
@@ -88,6 +103,11 @@ class TestAdjustForBacklog:
     def test_rejects_negative_input(self):
         with pytest.raises(ValueError):
             adjust_for_backlog(-1, snap(), self.CFG, MU)
+
+    def test_backlog_past_the_float_range_reads_as_the_largest_float(self):
+        s = snap(queue=1e300, rate=1e300)
+        assert adjust_for_backlog(0, s, self.CFG, 1e-9) == \
+            int(sys.float_info.max)
 
 
 class TestEnforceGuardrails:

@@ -7,11 +7,13 @@ CHANGES.md.
 
 import dataclasses
 import hashlib
+import json
+from importlib import resources
 
 import pytest
 
 from slosim.runner import run
-from slosim.scenario import bundled_scenario
+from slosim.scenario import bundled_scenario, parse_scenario
 
 # (scenario, controller) -> (sha256 of trace.jsonl, sha256 of decisions.jsonl)
 GOLDEN = {
@@ -81,6 +83,25 @@ FLEET_GOLDEN = {
 }
 
 
+# bundled `bursty` over 15 min at half-second ticks, starting without nodes
+# and with an integer latency cap: row 0 has no ready replica, so its
+# latency is the cap itself and is written as the integer 5
+EDGE_GOLDEN = {
+    "default_hpa": (
+        "8cedd534759e8b96be64def6b70b3a8dbf523a1b0fbd5e4d78cee5098a575fda",
+        "cd9c434d8c79feb78495549f914801c74ba1c56d2b4ccbf82b5ea4d3ef1b3ff0"),
+    "tuned_hpa": (
+        "3896b10b9d451de020c7af3e73b0bd9faec3f0a704ba5a920deb7408bb9be7da",
+        "47ca42006f13a77401ad99f9fafaed76bf39239a0a46a7608394be5f08ded03a"),
+    "hpa_vpa": (
+        "e74f5942ea84282f2230fc220003ed85b908dc50e816fc3a6ef34d8741cdd941",
+        "88f800a02dd9230d400edba25d497d9b344c343bc24d4fac8fa2cc9d14c89bad"),
+    "proposed": (
+        "1268d41cdff458ba188b4248993d146d80c8d08d0616337ddbd54729ae40ebb1",
+        "e6dacf61f8a30d6edde37f740b1566c6c4c996726cf9e2bddb92eb6b8b25d403"),
+}
+
+
 def _scaled(obj, factor: int, *names: str):
     return dataclasses.replace(
         obj, **{name: getattr(obj, name) * factor for name in names})
@@ -128,4 +149,21 @@ def test_fleet_scale_run_matches_golden_digests(controller):
     trace = run(scn, controller)
     trace_sha, decisions_sha = FLEET_GOLDEN[controller]
     assert _sha256(trace.to_jsonl()) == trace_sha
+    assert _sha256(trace.decisions_to_jsonl()) == decisions_sha
+
+
+@pytest.mark.parametrize("controller", sorted(EDGE_GOLDEN))
+def test_integer_latency_cap_half_second_run_matches_golden_digests(controller):
+    doc = json.loads((resources.files("slosim") / "scenarios"
+                      / "bursty.json").read_text())
+    doc["horizon"] = 900
+    doc["tick"] = 0.5
+    doc["service"]["latency_cap"] = 5
+    doc["cluster"]["initial_nodes"] = 0
+    trace = run(parse_scenario(doc), controller)
+    text = trace.to_jsonl()
+    assert text.startswith('{"t": 0.0, "arrivals": 2, "ready": 0, ')
+    assert '"latency": 5, ' in text.partition("\n")[0]
+    trace_sha, decisions_sha = EDGE_GOLDEN[controller]
+    assert _sha256(text) == trace_sha
     assert _sha256(trace.decisions_to_jsonl()) == decisions_sha

@@ -1,14 +1,20 @@
 """Run metrics: violation episodes, responsiveness, cost, stability, tables."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slosim.controllers import ControllerConfig
 from slosim.metrics import (
+    CSV_COLUMNS,
     CSV_HEADER,
+    REDUCTIONS,
     MetricsReport,
     aggregate_reports,
+    build_report,
     compare,
     comparison_to_csv,
     cost_metrics,
@@ -20,9 +26,10 @@ from slosim.metrics import (
 from slosim.runner import RunTrace
 from slosim.workload import WorkloadSpec
 
-from helpers import nested_time_to_scale
+from helpers import make_decision, nested_time_to_scale
 
 SLO = 0.2
+DATA = Path(__file__).parent / "data"
 
 
 def make_trace(n_ticks, latency=0.1, nodes=1, ready=1, actions=None,
@@ -33,22 +40,14 @@ def make_trace(n_ticks, latency=0.1, nodes=1, ready=1, actions=None,
     def at(value, k):
         return value[k] if isinstance(value, (list, tuple)) else value
 
-    rows = []
+    trace = RunTrace(controller="default_hpa", seed=0, tick=tick,
+                     horizon=n_ticks * tick, initial_replicas=initial)
     for k in range(n_ticks):
         t = k * tick
-        action = None
-        if t in actions:
-            action = {"target_replicas": actions[t],
-                      "node_capacity_hint": None, "vpa_recommendation": None}
-        rows.append({
-            "t": t, "arrivals": 0, "ready": at(ready, k), "starting": 0,
-            "pending": 0, "nodes_active": at(nodes, k), "queue": 0.0,
-            "latency": at(latency, k), "utilization": 0.0,
-            "action": action, "decision_id": None,
-        })
-    return RunTrace(controller="default_hpa", seed=0, tick=tick,
-                    horizon=n_ticks * tick, initial_replicas=initial,
-                    rows=rows)
+        decision = make_decision(actions[t], t) if t in actions else None
+        trace.append(0, at(ready, k), 0, 0, at(nodes, k), 0.0, at(latency, k),
+                     0.0, decision)
+    return trace
 
 
 def report(controller="default_hpa", duration=0.0, tts=None, node_hours=0.0,
@@ -254,3 +253,21 @@ class TestCsv:
                                 "node_hours_red,cost_red")
             assert lines[1].startswith(base_row)
             assert "0.2" in lines[2]
+
+    def test_every_compare_key_has_one_column(self):
+        row = compare([report(), report("proposed")])[0]
+        assert list(CSV_COLUMNS) == list(row)
+        assert list(row) == [f.name for f in fields(MetricsReport)] \
+            + list(REDUCTIONS)
+
+    @pytest.mark.parametrize("name", ["bursty", "mixed"])
+    def test_bundled_comparison_bytes_are_unchanged(self, all_runs, scenarios,
+                                                    name):
+        """`slosim run` on a bundled scenario, seed as bundled, one repeat;
+        the expected file is that command's comparison.csv."""
+        scn = scenarios[name]
+        reports = [build_report(all_runs[(name, kind)], scn.workload,
+                                scn.controller, scn.service.per_replica_rate)
+                   for kind in scn.controllers]
+        assert comparison_to_csv(compare(reports)) == \
+            (DATA / f"{name}_comparison.csv").read_text()

@@ -1,0 +1,187 @@
+"""The run loop's trace: its columns, its row view, its writers, and the
+node requests it makes."""
+
+import dataclasses
+import json
+import math
+from importlib import resources
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from slosim import runner
+from slosim.controllers import DecisionRecord, ScalingAction
+from slosim.runner import RunTrace, TraceRows, run
+from slosim.scenario import bundled_scenario, parse_scenario
+from slosim.signals import SignalSnapshot
+from slosim.sim import Cluster
+
+from helpers import json_decision_lines, json_trace_lines, make_cluster, make_decision
+
+
+def bundled_doc(name):
+    return json.loads((resources.files("slosim") / "scenarios"
+                       / f"{name}.json").read_text())
+
+
+def small_trace():
+    """Four rows at half-second ticks, with decisions on rows 1 and 2."""
+    trace = RunTrace(controller="proposed", seed=0, tick=0.5, horizon=2.0,
+                     initial_replicas=1)
+    trace.append(2, 0, 0, 1, 0, 2.0, 5, 1e6)
+    trace.append(3, 1, 0, 0, 1, 0.0, 0.3, 0.6, make_decision(2, 1.0))
+    trace.append(4, 1, 1, 0, 1, 1.5, 0.2, 0.8, make_decision(3, 1.5))
+    trace.append(0, 2, 0, 0, 1, 0.0, 0.1, 0.0)
+    return trace
+
+
+class TestRows:
+    def test_rows_carry_the_columns_and_the_decisions(self):
+        rows = small_trace().rows
+        assert rows[0] == {
+            "t": 0.0, "arrivals": 2, "ready": 0, "starting": 0, "pending": 1,
+            "nodes_active": 0, "queue": 2.0, "latency": 5,
+            "utilization": 1e6, "action": None, "decision_id": None}
+        assert rows[2]["t"] == 1.0
+        assert rows[2]["action"] == {"target_replicas": 3,
+                                     "node_capacity_hint": None,
+                                     "vpa_recommendation": None}
+        assert rows[2]["decision_id"] == 1
+        assert [row["decision_id"] for row in rows] == [None, 0, 1, None]
+        assert rows[-1] == rows[3]
+        assert rows[1:3] == [rows[1], rows[2]]
+        with pytest.raises(IndexError):
+            rows[4]
+
+    def test_length_builds_no_row(self, monkeypatch):
+        trace = small_trace()
+
+        def refuse(view, k):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(TraceRows, "__getitem__", refuse)
+        assert len(trace.rows) == 4
+        assert not len(RunTrace("proposed", 0, 1.0, 1.0, 1).rows)
+
+    def test_run_rows_follow_the_tick_and_the_control_interval(self, all_runs,
+                                                              scenarios):
+        scn = scenarios["bursty"]
+        trace = all_runs[("bursty", "proposed")]
+        per_decision = int(scn.controller.control_interval / scn.tick)
+        assert len(trace.rows) == int(scn.horizon / scn.tick)
+        assert trace.decision_rows == list(range(per_decision - 1,
+                                                 len(trace.rows),
+                                                 per_decision))
+
+
+class TestWriters:
+    def test_writers_match_json_on_a_hand_built_trace(self):
+        trace = small_trace()
+        assert trace.to_jsonl() == json_trace_lines(trace)
+        assert trace.decisions_to_jsonl() == json_decision_lines(trace)
+        assert '"latency": 5, ' in trace.to_jsonl().splitlines()[0]
+
+    def test_non_finite_floats_are_written_as_json_writes_them(self):
+        trace = small_trace()
+        trace.queue[1] = math.nan
+        trace.latency[2] = math.inf
+        trace.utilization[3] = -math.inf
+        snapshot = SignalSnapshot(t=2.0, latency=math.nan, queue=math.inf,
+                                  utilization=-math.inf, pending=0,
+                                  arrival_rate=0.0, ready_replicas=0)
+        trace.append(1, 2, 0, 0, 1, math.inf, math.nan, math.nan, DecisionRecord(
+            t=2.0, snapshot=snapshot, slo_demand=1, backlog_adjusted=1,
+            post_guardrail=1, constraints_applied=("bound_clamp",),
+            action=ScalingAction(1, vpa_recommendation=math.inf), reason="x"))
+        text = trace.to_jsonl()
+        assert text == json_trace_lines(trace)
+        lines = text.splitlines()
+        assert '"queue": NaN, ' in lines[1]
+        assert '"latency": Infinity, ' in lines[2]
+        assert '"utilization": -Infinity, ' in lines[3]
+        assert '"vpa_recommendation": Infinity}' in lines[4]
+        decisions = trace.decisions_to_jsonl()
+        assert decisions == json_decision_lines(trace)
+        assert '"latency": NaN, "queue": Infinity, ' in decisions
+
+    def test_an_int_beyond_the_float_range_is_written_whole(self):
+        trace = RunTrace(controller="proposed", seed=0, tick=1, horizon=1,
+                         initial_replicas=1)
+        trace.append(10**400, 0, 0, 1, 0, 0.0, 10**400, 0.0)
+        assert trace.to_jsonl() == json_trace_lines(trace)
+        assert '"t": 0, "arrivals": 1000' in trace.to_jsonl()
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["bursty", "mixed", "queue_driven"]),
+           tick=st.sampled_from([1, 0.5]),
+           integer_cap=st.booleans(), no_nodes=st.booleans(),
+           base_rate=st.sampled_from([None, 1e300]),
+           noise_std=st.sampled_from([0, 0.3]),
+           seed=st.integers(0, 2**31 - 1))
+    @example(name="bursty", tick=0.5, integer_cap=True, no_nodes=True,
+             base_rate=None, noise_std=0, seed=42)
+    @example(name="mixed", tick=1, integer_cap=False, no_nodes=False,
+             base_rate=1e300, noise_std=0.3, seed=7)
+    def test_writers_match_json_on_accepted_documents(
+            self, name, tick, integer_cap, no_nodes, base_rate, noise_std,
+            seed):
+        doc = bundled_doc(name)
+        doc.update(horizon=120, tick=tick, seed=seed)
+        doc["workload"]["noise_std"] = noise_std
+        if base_rate is not None:
+            doc["workload"]["base_rate"] = base_rate
+        if integer_cap:
+            doc["service"]["latency_cap"] = 5
+        if no_nodes:
+            doc["cluster"]["initial_nodes"] = 0
+        scn = parse_scenario(doc)
+        for kind in scn.controllers:
+            trace = run(scn, kind)
+            assert trace.to_jsonl() == json_trace_lines(trace)
+            assert trace.decisions_to_jsonl() == json_decision_lines(trace)
+            if base_rate is not None:
+                assert max(trace.arrivals) > 2**63
+            if integer_cap and no_nodes:
+                assert trace.latency[0] == 5 and type(trace.latency[0]) is int
+
+
+class TestProvisionNodes:
+    def test_stops_at_the_first_refusal(self, monkeypatch):
+        cluster = make_cluster(nodes=2, max_nodes=3)
+        calls = []
+        original = Cluster.provision_node
+
+        def counted(self):
+            calls.append(original(self))
+            return calls[-1]
+
+        monkeypatch.setattr(Cluster, "provision_node", counted)
+        runner._provision_nodes(cluster, 1000)
+        assert calls == [True, False]
+        assert cluster.state.live_nodes == 3
+
+    def test_one_refused_request_per_trigger_at_max_nodes(self, monkeypatch):
+        """bundled `bursty` with its fleet held at `initial_nodes`: every
+        pending-pod trigger wants several nodes, and each is refused once."""
+        scn = bundled_scenario("bursty")
+        scn = dataclasses.replace(scn, cluster=dataclasses.replace(
+            scn.cluster, max_nodes=scn.cluster.initial_nodes))
+        wanted, refused = [], []
+        provision_nodes, provision_node = (runner._provision_nodes,
+                                           Cluster.provision_node)
+
+        def counted_nodes(cluster, n):
+            wanted.append(n - len(cluster.state.provisioning))
+            return provision_nodes(cluster, n)
+
+        def counted_node(self):
+            ok = provision_node(self)
+            refused.append(not ok)
+            return ok
+
+        monkeypatch.setattr(runner, "_provision_nodes", counted_nodes)
+        monkeypatch.setattr(Cluster, "provision_node", counted_node)
+        run(scn, "default_hpa")
+        assert max(wanted) > 1
+        assert refused == [True] * len(wanted)

@@ -12,7 +12,7 @@ from slosim.sim import (
     Cluster,
     ClusterParams,
     ClusterState,
-    Replica,
+    Cohort,
     ServiceModel,
     observe_latency,
 )
@@ -24,7 +24,7 @@ MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
 def state_with(ready=0, queue=0.0):
     state = ClusterState(queue_depth=queue)
-    state.replicas.extend(Replica(0, 0.0) for _ in range(ready))
+    state.replicas.extend(Cohort(0, 0.0) for _ in range(ready))
     return state
 
 
@@ -352,11 +352,11 @@ def break_conservation(s):
 
 
 def misorder_cohorts(s):
-    s.replicas.insert(0, Replica(0, s.time + 100.0))
+    s.replicas.insert(0, Cohort(0, s.time + 100.0))
 
 
 def add_empty_cohort(s):
-    s.replicas.insert(0, Replica(0, 0.0, count=0))
+    s.replicas.insert(0, Cohort(0, 0.0, count=0))
 
 
 def drift(counter):
