@@ -6,13 +6,17 @@ latency follows an M/M/c-flavored closed form with a saturation branch.
 Nothing here is random; all variation enters through the workload generator.
 
 State is kept in aggregate so that a tick costs the same at any fleet size:
-replicas are cohorts of pods placed together on one node, and nodes are one
-table mapping each active node to the pods on it. A node enters the table
-when it activates and leaves it when it retires; the nodes still being
-provisioned are only their activation times. Placed and ready pods are
-counters updated where they change, and every node quantity (active and
-live nodes, free slots) is read off those tables. `Cluster.check_invariants`
-recounts everything from the cohorts and the tables on every tick.
+replicas are cohorts of pods placed together on one node, and every active
+node sits in exactly one of two tables. The busy table maps each node that
+holds pods to its pod count; the idle table maps each empty node to the time
+it emptied. A node activates into the idle table, moves to the busy table
+when it fills and back when it empties, and retires out of the idle table;
+the nodes still being provisioned are only their activation times. Placed
+and ready pods are counters updated where they change, and every node
+quantity (active and live nodes, free slots) is read off those tables.
+`Cluster.check_invariants` recounts the busy table from the cohorts on every
+tick; empty nodes, often most of a large fleet, cost it only their idle
+order.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class ClusterParams:
 
 @dataclass
 class ClusterState:
-    """Everything a tick reads: cohorts, the node table and two counters.
+    """Everything a tick reads: cohorts, the two node tables and counters.
 
     `replicas` holds cohorts in placement order, newest last. Pods are placed
     at the current time with the constant `pod_start_delay >= 0`, and time
@@ -80,15 +84,17 @@ class ClusterState:
     ahead. `ready_replicas` moves that boundary forward when read; every
     cohort crosses it once, so reading is amortized O(1).
 
-    `nodes` maps each active node id to the pods on it, in id order; ids are
-    handed out as nodes activate and a retired node is deleted. `idle` maps
-    each empty active node to the time it emptied, in that order, and
-    `provisioning` holds the activation times of the nodes on their way, in
-    order. `Cluster` keeps `total_replicas` (placed pods) and the ready
-    boundary `ready_cohorts` with its pod count `ready_pods` current wherever
-    they change, and `time` is `ticks` steps of the fixed tick. Replicas sit
-    only on active nodes and every node has `params.node_capacity` slots, so
-    the node quantities are read off the tables.
+    Node ids are handed out as nodes activate, and each active node is in
+    exactly one table. `nodes` maps each busy node (one holding pods) to its
+    pod count, which is never 0, in no particular order. `idle` maps each
+    empty active node to the time it emptied, in that order; a retired node
+    is deleted from it. `provisioning` holds the activation times of the
+    nodes on their way, in order. `Cluster` keeps `total_replicas` (placed
+    pods) and the ready boundary `ready_cohorts` with its pod count
+    `ready_pods` current wherever they change, and `time` is `ticks` steps of
+    the fixed tick. Replicas sit only on busy nodes and every node has
+    `params.node_capacity` slots, so the node quantities are read off the
+    tables.
     """
 
     # the fixed limits this state evolves under; controllers read them here
@@ -109,17 +115,18 @@ class ClusterState:
 
     @property
     def active_nodes(self) -> int:
-        return len(self.nodes)
+        """Busy and empty nodes."""
+        return len(self.nodes) + len(self.idle)
 
     @property
     def live_nodes(self) -> int:
         """Active nodes plus the ones still being provisioned."""
-        return len(self.nodes) + len(self.provisioning)
+        return self.active_nodes + len(self.provisioning)
 
     @property
     def free_slots(self) -> int:
         """Empty replica slots over the active nodes."""
-        return len(self.nodes) * self.params.node_capacity - self.total_replicas
+        return self.active_nodes * self.params.node_capacity - self.total_replicas
 
     @property
     def ready_replicas(self) -> int:
@@ -177,27 +184,27 @@ class Cluster:
         # initial nodes come first and provisioning is FIFO with a constant
         # delay, so ids in activation order are ids in request order, and a
         # new node holds no replicas, so it starts idle
-        s = self.state
-        node_id = next(self._node_ids)
-        s.nodes[node_id] = 0
-        s.idle[node_id] = now
+        self.state.idle[next(self._node_ids)] = now
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
         s = self.state
-        nodes, capacity = s.nodes, self.params.node_capacity
         want = min(count, s.free_slots)
+        if want <= 0:
+            return 0
+        nodes, idle, capacity = s.nodes, s.idle, self.params.node_capacity
         placed = 0
-        for node_id, used in nodes.items():
-            if placed >= want:
-                break
+        for node_id in sorted([*nodes, *idle]):
+            used = nodes.get(node_id, 0)
             take = min(capacity - used, want - placed)
             if take > 0:
-                nodes[node_id] = used + take
                 if used == 0:
-                    del s.idle[node_id]
+                    del idle[node_id]
+                nodes[node_id] = used + take
                 self._add_cohort(node_id, ready_at, take)
                 placed += take
+                if placed == want:
+                    break
         s.total_replicas += placed
         return placed
 
@@ -237,9 +244,11 @@ class Cluster:
                 reps.pop()
                 s.ready_cohorts = min(s.ready_cohorts, len(reps))
             used = s.nodes[last.node_id] - take
-            s.nodes[last.node_id] = used
             if used == 0:
+                del s.nodes[last.node_id]
                 s.idle[last.node_id] = s.time
+            else:
+                s.nodes[last.node_id] = used
 
     # -- spec operations --------------------------------------------------
 
@@ -272,14 +281,13 @@ class Cluster:
 
         # a node re-enters `idle` at the end, so the times never decrease
         # along it and the first node not timed out ends the search; a
-        # retired node leaves the table for good
+        # retired node leaves the tables for good
         timeout = self.params.node_idle_timeout
         while s.idle:
             node_id, idle_since = next(iter(s.idle.items()))
             if not s.time - idle_since > timeout:
                 break
             del s.idle[node_id]
-            del s.nodes[node_id]
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
@@ -306,22 +314,23 @@ class Cluster:
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Recount every fact from cohorts and tables; O(nodes + cohorts)."""
+        """Recount every fact from cohorts and tables; O(busy nodes + cohorts
+        + idle nodes), where an idle node costs only its place in time order."""
         s = self.state
         assert s.queue_depth >= -1e-9, "negative queue"
         assert s.pending_replicas >= 0, "negative pending"
         assert abs(s.cumulative_arrived - s.cumulative_served - s.queue_depth) < 1e-6, \
             "request conservation violated"
 
-        per_node = dict.fromkeys(s.nodes, 0)
+        per_node = {}
+        get = per_node.get
         prev_ready_at = -math.inf
         for rep in s.replicas:
-            assert rep.count > 0, "empty cohort"
-            assert rep.ready_at >= prev_ready_at, "cohorts out of ready_at order"
-            prev_ready_at = rep.ready_at
-            assert rep.node_id in per_node, \
-                f"replica on inactive node {rep.node_id}"
-            per_node[rep.node_id] += rep.count
+            node_id, ready_at, count = rep.node_id, rep.ready_at, rep.count
+            assert count > 0, "empty cohort"
+            assert ready_at >= prev_ready_at, "cohorts out of ready_at order"
+            prev_ready_at = ready_at
+            per_node[node_id] = get(node_id, 0) + count
         total = sum(per_node.values())
         k = s.ready_cohorts
         assert k <= len(s.replicas) and (
@@ -333,23 +342,28 @@ class Cluster:
             "ready counter drifted"
         assert s.total_replicas == total, "replica counter drifted"
 
+        # every recounted node holds pods, so equality says at once that no
+        # cohort sits off the busy table, that every busy count is right and
+        # that no busy node is empty; the loop only names the first culprit
         nodes = s.nodes
-        assert per_node == nodes, "node {} pod count mismatch".format(
-            next(i for i in nodes if nodes[i] != per_node[i]))
-        # the recount is >= 0, so only the upper bound needs checking
+        if per_node != nodes:
+            for node_id in sorted(per_node.keys() | nodes.keys()):
+                assert node_id in nodes, \
+                    f"replica on node {node_id} outside the busy table"
+                assert node_id in per_node, f"busy node {node_id} holds no pods"
+                assert per_node[node_id] == nodes[node_id], \
+                    f"node {node_id} pod count mismatch"
+        # the recount is > 0, so only the upper bound needs checking
         capacity = self.params.node_capacity
         assert max(nodes.values(), default=0) <= capacity, "node {} overfull".format(
-            next(i for i in nodes if nodes[i] > capacity))
-        ids = list(nodes)
-        assert ids == sorted(ids), "nodes out of id order"
+            min(i for i in nodes if nodes[i] > capacity))
 
-        # `idle` holds exactly the empty nodes of the table, and each queue
-        # is in the time order its scan relies on
-        assert list(map(nodes.get, s.idle)).count(0) == len(s.idle), \
-            "idle set holds a busy or inactive node"
-        assert list(nodes.values()).count(0) == len(s.idle), \
-            "an empty node is missing from the idle set"
-        idle_since = list(s.idle.values())
+        # `idle` holds the empty nodes, so no busy one, and each queue is in
+        # the time order its scan relies on
+        idle = s.idle
+        assert idle.keys().isdisjoint(nodes.keys()), \
+            "node {} is both busy and idle".format(min(idle.keys() & nodes.keys()))
+        idle_since = list(idle.values())
         assert idle_since == sorted(idle_since), "idle nodes out of order"
         provisioning = list(s.provisioning)
         assert provisioning == sorted(provisioning), \

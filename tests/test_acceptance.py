@@ -223,7 +223,7 @@ def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     per_node = {}
     for rep in cluster.state.replicas:
         per_node[rep.node_id] = per_node.get(rep.node_id, 0) + rep.count
-    # the table holds the active nodes only
+    # the busy table holds the nodes with pods; empty ones are in `idle`
     nodes = cluster.state.nodes
     for node_id, used in nodes.items():
         assert per_node.get(node_id, 0) == used

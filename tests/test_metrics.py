@@ -78,6 +78,10 @@ class TestSloViolations:
         with pytest.raises(ValueError):
             slo_violations(make_trace(0), SLO)
 
+    def test_fractional_tick_duration_does_not_drift(self):
+        trace = make_trace(10, latency=0.3, tick=0.1)
+        assert slo_violations(trace, SLO) == (1, 1.0)
+
     @given(st.lists(st.floats(0.01, 0.5), min_size=1, max_size=200))
     def test_duration_bounded_by_horizon_and_counts(self, lats):
         trace = make_trace(len(lats), latency=lats)

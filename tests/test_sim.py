@@ -1,6 +1,10 @@
 """Cluster engine: serving arithmetic, latency curve, scheduling, nodes."""
 
+import ast
 import dataclasses
+import inspect
+import re
+import textwrap
 
 import pytest
 from hypothesis import assume, given, settings
@@ -81,7 +85,8 @@ class TestStep:
         assert c.state.active_nodes == 1
         c.step(0, MODEL, 1.0)
         assert c.state.active_nodes == 0
-        assert 0 not in c.state.nodes  # a retired node is dropped
+        # a retired node is dropped
+        assert 0 not in c.state.idle and 0 not in c.state.nodes
 
     def test_time_is_a_whole_number_of_ticks(self):
         # a running sum of 0.1 reads 600.0000000000679 after 6000 ticks
@@ -176,7 +181,8 @@ class TestSchedule:
         c.schedule(4)  # two more, newest land on node 1
         assert c.state.nodes[1] == 2
         c.schedule(2)
-        assert c.state.nodes == {0: 2, 1: 0}
+        assert c.state.nodes == {0: 2}
+        assert c.state.idle == {1: 0.0}
 
     def test_scale_down_drops_pending_before_placed(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=4)
@@ -189,7 +195,47 @@ class TestSchedule:
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert list(c.state.nodes.values()) == [4, 1, 0]
+        assert c.state.nodes == {0: 4, 1: 1}
+        assert list(c.state.idle) == [2]
+
+    def test_empty_node_below_a_busy_one_fills_first(self):
+        # first-fit with newest-first removal never builds this state, but
+        # it is sound, and placement still goes by id across both tables
+        c = make_cluster(ready=0, nodes=2, node_capacity=4)
+        s = c.state
+        del s.idle[1]
+        s.nodes[1] = 1
+        s.replicas.append(Cohort(1, 0.0))
+        s.total_replicas = 1
+        c.check_invariants()
+        c.schedule(3)
+        assert s.nodes == {1: 1, 0: 2}
+        assert [(r.node_id, r.count) for r in s.replicas] == [(1, 1), (0, 2)]
+
+    def test_idle_nodes_fill_in_id_order_not_idle_order(self):
+        c = make_cluster(ready=3, nodes=3, node_capacity=1)
+        c.step(0, MODEL, 1.0)
+        c.schedule(2)  # node 2 empties at t=1
+        c.step(0, MODEL, 1.0)
+        c.schedule(1)  # node 1 empties at t=2
+        assert c.state.idle == {2: 1.0, 1: 2.0}
+        c.schedule(2)
+        assert c.state.nodes == {0: 1, 1: 1}
+        assert c.state.idle == {2: 1.0}
+
+    def test_node_activated_after_a_retirement_fills_last(self):
+        c = make_cluster(ready=2, nodes=2, node_capacity=2,
+                         node_idle_timeout=2.0, node_provision_delay=1.0)
+        for _ in range(3):
+            c.step(0, MODEL, 1.0)
+        assert c.state.idle == {}  # node 1 retired at t=3
+        c.provision_node()
+        c.schedule(1)  # node 0 has a free slot
+        c.step(0, MODEL, 1.0)
+        assert c.state.idle == {2: 4.0}  # a fresh id, not node 1's
+        c.schedule(4)
+        assert c.state.nodes == {0: 2, 2: 2}
+        assert [r.node_id for r in c.state.replicas[-2:]] == [0, 2]
 
 
 class TestProvisionNode:
@@ -291,7 +337,10 @@ def assert_same(cluster, ref, look):
     assert s.free_slots == ref.free_slots
     assert s.queue_depth == ref.queue_depth
     # the reference keeps every node it ever requested, retired ones too
-    assert list(s.nodes.values()) == [n.used for n in ref.nodes if n.active]
+    active = [n for n in ref.nodes if n.active]
+    assert sorted([*s.nodes.items(), *dict.fromkeys(s.idle, 0).items()]) == \
+        [(n.id, n.used) for n in active]
+    assert s.idle == {n.id: n.idle_since for n in active if n.used == 0}
     cluster.check_invariants()
 
 
@@ -335,6 +384,10 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 
 # One corruption per fact check_invariants guards, with the message that
 # names it. Each applies to any state whose node 0 holds replicas.
+def unused_id(s):
+    return max([*s.nodes, *s.idle]) + 1
+
+
 def used_off_by_one(s):
     s.nodes[0] += 1
 
@@ -370,6 +423,17 @@ def track_busy_node_as_idle(s):
     s.idle[0] = s.time
 
 
+def keep_idle_node_busy(s):
+    node_id = unused_id(s)
+    s.idle[node_id] = s.time
+    s.nodes[node_id] = 0
+
+
+def idle_node_with_cohorts(s):
+    del s.nodes[0]
+    s.idle[0] = s.time
+
+
 def misorder_provisioning(s):
     s.provisioning.extend((s.time + 2.0, s.time + 1.0))
 
@@ -391,14 +455,13 @@ def misorder_nodes(s):
 
 
 def untrack_empty_node(s):
-    s.nodes[max(s.nodes) + 1] = 0
+    s.nodes[unused_id(s)] = 0
 
 
 def misorder_idle(s):
-    first = max(s.nodes) + 1
-    for node_id, idle_since in ((first, s.time), (first + 1, s.time - 1.0)):
-        s.nodes[node_id] = 0
-        s.idle[node_id] = idle_since
+    first = unused_id(s)
+    s.idle[first] = s.time
+    s.idle[first + 1] = s.time - 1.0
 
 
 def exceed_max_nodes(s):
@@ -408,25 +471,52 @@ def exceed_max_nodes(s):
 
 CORRUPTIONS = [
     (used_off_by_one, "node 0 pod count mismatch"),
-    (deactivate_busy_node, "replica on inactive node 0"),
+    (deactivate_busy_node, "replica on node 0 outside the busy table"),
+    (idle_node_with_cohorts, "replica on node 0 outside the busy table"),
     (overfill, "node 0 overfull"),
     (break_conservation, "request conservation violated"),
     (misorder_cohorts, "cohorts out of ready_at order"),
     (add_empty_cohort, "empty cohort"),
     (drift("total_replicas"), "replica counter drifted"),
     (drift("ready_pods"), "ready counter drifted"),
-    (track_busy_node_as_idle, "idle set holds a busy or inactive node"),
+    (track_busy_node_as_idle, "node 0 is both busy and idle"),
+    (keep_idle_node_busy, r"busy node \d+ holds no pods"),
     (misorder_provisioning, "provisioning nodes out of order"),
     (negative_queue, "negative queue"),
     (negative_pending, "negative pending"),
     (count_past_the_cohorts, "a cohort counted ready is not ready"),
-    (misorder_nodes, "nodes out of id order"),
-    (untrack_empty_node, "an empty node is missing from the idle set"),
+    (misorder_nodes, "busy node -1 holds no pods"),
+    (untrack_empty_node, r"busy node \d+ holds no pods"),
     (misorder_idle, "idle nodes out of order"),
     (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
 corruption_params = pytest.mark.parametrize(
     "corrupt,message", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
+
+
+def message_template(msg):
+    """An assert message with each value it formats in as `{}`."""
+    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+        return msg.value
+    if isinstance(msg, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                       for part in msg.values)
+    if (isinstance(msg, ast.Call) and isinstance(msg.func, ast.Attribute)
+            and msg.func.attr == "format"):
+        return message_template(msg.func.value)
+    raise AssertionError(f"unrecognized assert message: {ast.dump(msg)}")
+
+
+def test_every_invariant_has_a_corruption():
+    source = textwrap.dedent(inspect.getsource(Cluster.check_invariants))
+    asserts = [node for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Assert)]
+    checked = {message_template(node.msg) for node in asserts}
+    # a corruption names a node by its id, or by a pattern for it
+    corrupted = {re.sub(r"-?\d+|\\d\+", "{}", message)
+                 for _, message in CORRUPTIONS}
+    assert len(checked) == len(asserts)
+    assert checked == corrupted
 
 
 def healthy_cluster():
