@@ -40,7 +40,6 @@ class ControllerConfig:
     max_replicas: int = 50
     control_interval: float = 15.0
     slo_latency_target: float = 0.2
-    cpu_target: float = 0.5              # baselines only
     tolerance_band: float = 0.10
     max_step_up: int = 20
     max_step_down: int = 20
@@ -84,11 +83,9 @@ class ScalingAction:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    t: float
-    snapshot: SignalSnapshot
+    snapshot: SignalSnapshot  # its `t` is the decision's time
     slo_demand: int
     backlog_adjusted: int
-    post_guardrail: int
     constraints_applied: tuple[str, ...]
     action: ScalingAction
     reason: str
@@ -217,7 +214,7 @@ def coordinate_actuation(target: int, cluster: ClusterState,
                          node_capacity: int) -> tuple[int | None, str]:
     """Stage 5: emit a node capacity hint when the target is unschedulable."""
     # starting replicas already hold slots, so they count toward the target
-    shortfall = max(0, target - cluster.total_replicas - cluster.free_slots)
+    shortfall = target - cluster.total_replicas - cluster.free_slots
     if shortfall <= 0:
         return None, ""
     if cluster.live_nodes >= cluster.params.max_nodes:
@@ -226,8 +223,7 @@ def coordinate_actuation(target: int, cluster: ClusterState,
     return whole_nodes * node_capacity, f"hinting {whole_nodes} node(s)"
 
 
-def vpa_recommend(usage_history: list[float],
-                  current_request: float = 1.0) -> float | None:
+def vpa_recommend(usage_history: list[float]) -> float | None:
     """Recommend p90 observed usage with a 15% safety margin; advisory only.
 
     `usage_history` must be in ascending order; the p90 is read by index.
@@ -235,7 +231,7 @@ def vpa_recommend(usage_history: list[float],
     if not usage_history:
         return None
     idx = math.ceil(0.9 * len(usage_history)) - 1
-    return usage_history[idx] * current_request * 1.15
+    return usage_history[idx] * 1.15
 
 
 # --------------------------------------------------------------------------
@@ -259,9 +255,10 @@ class HpaController:
 
     emits_node_hints = False
 
-    def __init__(self, cfg: ControllerConfig, mu: float,
+    def __init__(self, cfg: ControllerConfig, cpu_target: float, mu: float,
                  with_vpa: bool = False):
         self.cfg = cfg
+        self.cpu_target = cpu_target
         self.mu = mu
         self.with_vpa = with_vpa
         self.history = GuardrailState()
@@ -277,20 +274,20 @@ class HpaController:
         # a new value lands after equal ones, where a stable sort of the
         # samples in arrival order puts it, so the p90 is unchanged
         bisect.insort(self.usage, metric)
-        desired = hpa_desired(current, metric, cfg.cpu_target, cfg.tolerance_band)
+        cpu_target = self.cpu_target
+        desired = hpa_desired(current, metric, cpu_target, cfg.tolerance_band)
         constraints: list[str] = []
-        if desired == current and abs(metric / cfg.cpu_target - 1.0) <= cfg.tolerance_band \
-                and metric != cfg.cpu_target:
+        if abs(metric / cpu_target - 1.0) <= cfg.tolerance_band \
+                and metric != cpu_target:
             constraints.append(TOLERANCE_SKIP)
         final, guard = enforce_guardrails(desired, current, cfg, self.history, s.t)
         constraints.extend(guard)
         self.target = final
         vpa = vpa_recommend(self.usage) if self.with_vpa else None
         reason = _describe(final, current, constraints,
-                           f"cpu {metric:.2f} vs target {cfg.cpu_target:.2f}")
+                           f"cpu {metric:.2f} vs target {cpu_target:.2f}")
         return DecisionRecord(
-            t=s.t, snapshot=s, slo_demand=desired, backlog_adjusted=desired,
-            post_guardrail=final,
+            snapshot=s, slo_demand=desired, backlog_adjusted=desired,
             constraints_applied=tuple(constraints),
             action=ScalingAction(final, vpa_recommendation=vpa),
             reason=reason)
@@ -328,7 +325,7 @@ class SloCostController:
         candidate = backlog_adjusted
 
         constraints: list[str] = []
-        if candidate != current and current > 0 \
+        if candidate != current \
                 and abs(candidate / current - 1.0) <= cfg.tolerance_band:
             candidate = current
             constraints.append(TOLERANCE_SKIP)
@@ -349,8 +346,8 @@ class SloCostController:
         if hint_note:
             reason += f"; {hint_note}"
         return DecisionRecord(
-            t=s.t, snapshot=s, slo_demand=slo_demand,
-            backlog_adjusted=backlog_adjusted, post_guardrail=final,
+            snapshot=s, slo_demand=slo_demand,
+            backlog_adjusted=backlog_adjusted,
             constraints_applied=tuple(constraints),
             action=ScalingAction(final, node_capacity_hint=hint),
             reason=reason)
@@ -369,21 +366,23 @@ def _describe(final: int, current: int, constraints: list[str],
     return f"{verb}: {signal_note}"
 
 
-def baseline_config(kind: str, cfg: ControllerConfig) -> ControllerConfig:
-    """Fixed baseline parameterizations layered over the shared config."""
+def baseline_config(kind: str, cfg: ControllerConfig
+                    ) -> tuple[ControllerConfig, float]:
+    """Fixed baseline parameterizations layered over the shared config, and
+    the CPU target the baseline scales on."""
     unlimited = cfg.max_replicas  # effectively no step limit
     if kind == "default_hpa" or kind == "hpa_vpa":
-        return replace(cfg, cpu_target=0.5, scale_up_stabilization=0.0,
+        return replace(cfg, scale_up_stabilization=0.0,
                        scale_down_stabilization=300.0,
                        cooldown_after_scale_up=0.0,
-                       max_step_up=unlimited, max_step_down=unlimited)
+                       max_step_up=unlimited, max_step_down=unlimited), 0.5
     if kind == "tuned_hpa":
         # hand-tuned for responsiveness: lower CPU threshold scales earlier,
         # shorter scale-down window releases burst overshoot sooner
-        return replace(cfg, cpu_target=0.35, scale_up_stabilization=0.0,
+        return replace(cfg, scale_up_stabilization=0.0,
                        scale_down_stabilization=120.0,
                        cooldown_after_scale_up=0.0,
-                       max_step_up=8, max_step_down=unlimited)
+                       max_step_up=8, max_step_down=unlimited), 0.35
     raise ValueError(f"not a baseline kind: {kind}")
 
 
@@ -392,6 +391,6 @@ def make_controller(kind: str, cfg: ControllerConfig, mu: float,
     if kind == "proposed":
         return SloCostController(cfg, mu, node_capacity)
     if kind in ("default_hpa", "tuned_hpa", "hpa_vpa"):
-        return HpaController(baseline_config(kind, cfg), mu,
+        return HpaController(*baseline_config(kind, cfg), mu,
                              with_vpa=(kind == "hpa_vpa"))
     raise ValueError(f"unknown controller kind {kind!r}")

@@ -55,8 +55,6 @@ CSV_COLUMNS = {
     "node_hours_reduction": "node_hours_red",
     "cost_reduction": "cost_red",
 }
-# the columns of the report fields alone
-CSV_HEADER = ",".join(CSV_COLUMNS[f.name] for f in fields(MetricsReport))
 
 
 def slo_violations(trace: RunTrace, slo_latency_target: float

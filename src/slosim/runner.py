@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import json
 import math
 from array import array
@@ -153,17 +152,13 @@ def _record_dict(rec: DecisionRecord) -> dict:
     return out
 
 
-def _nodes_incoming(cluster: Cluster) -> int:
-    return len(cluster.state.provisioning)
-
-
 def _provision_nodes(cluster: Cluster, wanted: int):
     """Provision up to `wanted` nodes beyond those already on the way.
 
     Nothing frees a node slot in between, so after the first refusal every
     further request would be refused too.
     """
-    for _ in range(wanted - _nodes_incoming(cluster)):
+    for _ in range(wanted - len(cluster.state.provisioning)):
         if not cluster.provision_node():
             break
 
@@ -172,7 +167,6 @@ def run(scn: ScenarioConfig, controller_kind: str,
         seed: int | None = None) -> RunTrace:
     """Simulate one controller over the scenario; fully deterministic."""
     seed = scn.seed if seed is None else seed
-    wspec = dataclasses.replace(scn.workload, seed=seed)
     cfg = scn.controller
     cluster = Cluster(scn.cluster, initial_replicas=cfg.min_replicas)
     controller = make_controller(controller_kind, cfg,
@@ -188,7 +182,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
 
     for k in range(n_ticks):
         t = k * scn.tick
-        arrivals = workload.arrivals_at(wspec, t, scn.tick)
+        arrivals = workload.arrivals_at(scn.workload, seed, t, scn.tick)
         cluster.step(arrivals, scn.service, scn.tick)
         rate = arrivals / scn.tick
         snap = sample(cluster.state, rate, scn.service, prev_latency)

@@ -64,10 +64,13 @@ class ScenarioConfig:
 
 
 def _number(where: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (isinstance(value, float) and not math.isfinite(value)):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return value
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float)) \
+                and math.isfinite(value):
+            return value
+    except OverflowError:  # an int past the float range
+        pass
+    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
 
 
 def _integer(where: str, value) -> int:
@@ -159,6 +162,6 @@ def load_scenario(path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
     return parse_scenario(doc)

@@ -1,7 +1,7 @@
 """Seedable arrival generators: bursty spikes, backlog ramps, mixed batch.
 
-Every generator is a pure function of (spec, t), so the same spec replayed
-against different controllers yields identical arrival streams.
+Every generator is a pure function of (spec, seed, t), so the same spec and
+seed replayed against different controllers yield identical arrival streams.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class WorkloadSpec:
     burst_interval: float = 600.0    # seconds between burst starts
     batch_fraction: float = 0.0      # mixed only: share of load arriving in bulk
     noise_std: float = 0.0           # multiplicative log-normal noise, 0 = exact
-    seed: int = 0
     ramps: tuple = ()                # queue_driven: (start_t, end_t, rate) plateaus
 
     def __post_init__(self):
@@ -41,8 +40,6 @@ class WorkloadSpec:
             raise ValueError("batch_fraction must be in [0, 1]")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, {SEED_LIMIT})")
         if self.ramps and self.kind != "queue_driven":
             raise ValueError("ramps apply only to queue_driven workloads")
 
@@ -96,24 +93,25 @@ def _batch_bulk(spec: WorkloadSpec, t: float, dt: float) -> float:
     return 0.0
 
 
-def _noise_factor(spec: WorkloadSpec, t: float, dt: float) -> float:
+def _noise_factor(spec: WorkloadSpec, seed: int, t: float, dt: float) -> float:
     if spec.noise_std == 0:
         return 1.0
     sigma = spec.noise_std
     tick = int(round(t / dt))
-    rng = np.random.default_rng([spec.seed, tick])
+    rng = np.random.default_rng([seed, tick])
     # mean-one log-normal so the noiseless analytic mean is preserved
     return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
 
 
-def arrivals_at(spec: WorkloadSpec, t: float, dt: float) -> int:
-    """Requests arriving in the tick [t, t+dt)."""
+def arrivals_at(spec: WorkloadSpec, seed: int, t: float, dt: float) -> int:
+    """Requests arriving in the tick [t, t+dt); `seed`, in [0, SEED_LIMIT),
+    picks the noise stream."""
     if t < 0:
         raise ValueError("t must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be > 0")
     count = _mean_rate(spec, t) * dt + _batch_bulk(spec, t, dt)
-    count *= _noise_factor(spec, t, dt)
+    count *= _noise_factor(spec, seed, t, dt)
     return max(0, int(round(count)))
 
 

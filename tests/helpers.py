@@ -4,11 +4,18 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from importlib import resources
 
 from slosim.controllers import DecisionRecord, ScalingAction
 from slosim.signals import SignalSnapshot
 from slosim.sim import Cluster, ClusterParams
 from slosim.workload import burst_onsets
+
+
+def bundled_doc(name: str) -> dict:
+    """The JSON document of a bundled scenario."""
+    return json.loads((resources.files("slosim") / "scenarios"
+                       / f"{name}.json").read_text())
 
 
 def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
@@ -154,10 +161,9 @@ def make_decision(target: int, t: float = 0.0) -> DecisionRecord:
     """A decision record that sets `target` replicas and explains nothing."""
     snapshot = SignalSnapshot(t=t, latency=0.0, queue=0.0, utilization=0.0,
                               pending=0, arrival_rate=0.0, ready_replicas=0)
-    return DecisionRecord(t=t, snapshot=snapshot, slo_demand=target,
-                          backlog_adjusted=target, post_guardrail=target,
-                          constraints_applied=(), action=ScalingAction(target),
-                          reason="")
+    return DecisionRecord(snapshot=snapshot, slo_demand=target,
+                          backlog_adjusted=target, constraints_applied=(),
+                          action=ScalingAction(target), reason="")
 
 
 def json_trace_lines(trace) -> str:

@@ -167,11 +167,11 @@ def test_criterion_5_cooldown_blocks_scale_down(all_runs, scenarios):
         for rec in trace.decisions:
             target = rec.action.target_replicas
             if target < applied:
-                assert rec.t - last_up >= cooldown, \
-                    f"{name}: scale-down at t={rec.t} inside cooldown"
+                assert rec.snapshot.t - last_up >= cooldown, \
+                    f"{name}: scale-down at t={rec.snapshot.t} inside cooldown"
                 checked += 1
             elif target > applied:
-                last_up = rec.t
+                last_up = rec.snapshot.t
             applied = target
     gate("criterion 5 (cooldown no-scale-down)", True,
          f"all scenario sweeps clean ({checked} scale-downs audited)")

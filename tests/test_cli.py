@@ -1,9 +1,9 @@
 """Scenario parsing and the command-line workflow."""
 
 import copy
+import functools
 import json
 from dataclasses import fields
-from importlib import resources
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 
 from slosim import cli, metrics
 from slosim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from slosim.controllers import ControllerConfig
 from slosim.runner import run
 from slosim.scenario import ConfigError, load_scenario, parse_scenario
+from slosim.sim import ClusterParams, ServiceModel
+from slosim.workload import WorkloadSpec
+
+from helpers import bundled_doc
 
 MINIMAL = {
     "schema": 1,
@@ -47,7 +52,7 @@ FULL = {
     "controllers": ["proposed", "tuned_hpa"],
     "workload": {"kind": "queue_driven", "base_rate": 8, "burst_amplitude": 3,
                  "burst_duration": 30, "burst_interval": 300,
-                 "batch_fraction": 0.25, "noise_std": 0.1, "seed": 11,
+                 "batch_fraction": 0.25, "noise_std": 0.1,
                  "ramps": [[100, 200, 40]]},
     "service": {"per_replica_rate": 12, "base_latency": 0.04,
                 "latency_cap": 0.5},
@@ -56,7 +61,7 @@ FULL = {
                 "node_idle_timeout": 400},
     "controller": {"min_replicas": 2, "max_replicas": 40,
                    "control_interval": 10, "slo_latency_target": 0.25,
-                   "cpu_target": 0.6, "tolerance_band": 0.05,
+                   "tolerance_band": 0.05,
                    "max_step_up": 5, "max_step_down": 4,
                    "scale_up_stabilization": 15,
                    "scale_down_stabilization": 90,
@@ -69,7 +74,7 @@ FULL = {
 # (section, its integer fields); "document" is the top level
 SECTIONS = [
     ("document", ["seed", "repeats"]),
-    ("workload", ["seed"]),
+    ("workload", []),
     ("service", []),
     ("cluster", ["initial_nodes", "node_capacity", "max_nodes"]),
     ("controller", ["min_replicas", "max_replicas", "max_step_up",
@@ -150,6 +155,10 @@ class TestSections:
         # cluster settings are not controller settings
         ("controller", "max_nodes"),
         ("controller", "pod_start_delay"),
+        # keys that once parsed but that no run read: the run's seed picks
+        # the noise, and each baseline fixes its own CPU target
+        ("workload", "seed"),
+        ("controller", "cpu_target"),
     ])
     def test_unknown_key_names_the_section(self, section, key):
         with pytest.raises(ConfigError,
@@ -198,10 +207,16 @@ class TestValidateCommand:
         assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("section,key,value", [
-        ("workload", "seed", float("nan")),
+        ("workload", "noise_std", float("nan")),
         ("document", "horizon", float("inf")),
         ("controller", "slo_latency_target", float("-inf")),
         ("workload", "ramps", [[True, 5, 3]]),
+        # integers past the float range
+        *(pytest.param(section, key, 10**400, id=f"{section}-{key}-10**400")
+          for section, key in [("document", "horizon"),
+                               ("workload", "base_rate"),
+                               ("cluster", "pod_start_delay"),
+                               ("controller", "scale_down_stabilization")]),
     ])
     def test_non_finite_and_boolean_numbers_rejected(self, tmp_path, capsys,
                                                      section, key, value):
@@ -235,8 +250,6 @@ class TestValidateCommand:
     @pytest.mark.parametrize("section,key,value", [
         ("document", "seed", -5),
         ("document", "seed", 2**31 - 1),        # FULL repeats twice
-        ("workload", "seed", -1),
-        ("workload", "seed", 2**31),
     ])
     def test_seed_outside_stream_range_rejected(self, tmp_path, capsys,
                                                 section, key, value):
@@ -246,8 +259,17 @@ class TestValidateCommand:
 
     def test_largest_seeds_accepted(self, tmp_path):
         doc = with_value("document", "seed", 2**31 - 2)
-        doc["workload"]["seed"] = 2**31 - 1
         assert main(["validate", str(write_scenario(tmp_path, doc))]) == EXIT_OK
+
+    def test_non_utf8_file_exits_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(dict(QUICK, name="bé"),
+                                    ensure_ascii=False).encode("latin-1"))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "UTF-8" in err[0] and "UTF-8" in err[1]
 
     def test_ramps_rejected_off_queue_driven(self, tmp_path, capsys):
         doc = with_value("workload", "kind", "bursty")  # FULL keeps its ramps
@@ -286,8 +308,7 @@ MAX_TICKS = 200
 def test_accepted_document_runs_and_reports(name, edits):
     """A document that parses runs every controller and reports; any other
     document is refused with ConfigError."""
-    doc = json.loads((resources.files("slosim") / "scenarios"
-                      / f"{name}.json").read_text())
+    doc = bundled_doc(name)
     doc["horizon"] = 120
     for (section, key), value in edits:
         if value == "huge":
@@ -302,6 +323,89 @@ def test_accepted_document_runs_and_reports(name, edits):
         trace = run(scn, kind)
         metrics.build_report(trace, scn.workload, scn.controller,
                              scn.service.per_replica_rate)
+
+
+# A new value for every field a document sets, each chosen to change a 900 s
+# noisy run of bundled `bursty`, or of the scenario FIELD_SCENARIO names.
+# The fields come from the section dataclasses, so a field added later fails
+# the test below until it has a value here.
+NEW_VALUES = {
+    "seed": 43,
+    "workload.kind": "mixed",
+    "workload.base_rate": 8,
+    "workload.burst_amplitude": 6,
+    "workload.burst_duration": 60,
+    "workload.burst_interval": 400,
+    "workload.batch_fraction": 0.5,
+    "workload.noise_std": 0.3,
+    "workload.ramps": [[300, 1200, 60]],
+    "service.per_replica_rate": 8,
+    "service.base_latency": 0.1,
+    "service.latency_cap": 0.3,
+    "cluster.initial_nodes": 1,
+    "cluster.node_capacity": 4,
+    "cluster.max_nodes": 3,
+    "cluster.pod_start_delay": 30,
+    "cluster.node_provision_delay": 120,
+    "cluster.node_idle_timeout": 60,
+    "controller.min_replicas": 2,
+    "controller.max_replicas": 4,
+    "controller.control_interval": 30,
+    "controller.slo_latency_target": 0.1,
+    "controller.tolerance_band": 0.3,
+    "controller.max_step_up": 2,
+    "controller.max_step_down": 1,
+    "controller.scale_up_stabilization": 60,
+    "controller.scale_down_stabilization": 30,
+    "controller.cooldown_after_scale_up": 30,
+    "controller.drain_window": 5,
+    "controller.target_utilization": 0.4,
+    "controller.cost_per_replica_hour": 0.2,
+    "controller.cost_per_node_hour": 2,
+    "controller.forecast_alpha": 0.9,
+    "controller.forecast_beta": 0.9,
+}
+FIELD_SCENARIO = {"workload.batch_fraction": "mixed",
+                  "workload.ramps": "queue_driven"}
+DOCUMENT_FIELDS = ["seed"] + [
+    f"{section}.{f.name}"
+    for section, cls in (("workload", WorkloadSpec), ("service", ServiceModel),
+                         ("cluster", ClusterParams),
+                         ("controller", ControllerConfig))
+    for f in fields(cls)]
+
+
+def noisy_doc(name):
+    doc = bundled_doc(name)
+    doc["horizon"] = 900
+    doc["workload"]["noise_std"] = 0.2
+    return doc
+
+
+def run_outputs(scn, kind):
+    """Everything `slosim run` writes for one run, apart from the file names."""
+    trace = run(scn, kind)
+    return (trace.to_jsonl(), trace.decisions_to_jsonl(),
+            metrics.build_report(trace, scn.workload, scn.controller,
+                                 scn.service.per_replica_rate))
+
+
+@functools.cache
+def unperturbed_outputs(name, kind):
+    return run_outputs(parse_scenario(noisy_doc(name)), kind)
+
+
+@pytest.mark.parametrize("field", DOCUMENT_FIELDS)
+def test_every_document_field_takes_effect(field):
+    """A field no run reads would be config that validates and does nothing."""
+    assert field in NEW_VALUES, f"no new value for {field}"
+    name = FIELD_SCENARIO.get(field, "bursty")
+    doc = noisy_doc(name)
+    section, _, key = field.rpartition(".")
+    (doc[section] if section else doc)[key] = NEW_VALUES[field]
+    scn = parse_scenario(doc)
+    assert any(run_outputs(scn, kind) != unperturbed_outputs(name, kind)
+               for kind in scn.controllers), f"{field} changed no output"
 
 
 class TestRunCommand:

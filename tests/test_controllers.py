@@ -222,7 +222,7 @@ class TestCpuMetric:
 
 class TestHpaController:
     def cfg(self, **kw):
-        base = dict(cpu_target=0.5, tolerance_band=0.10,
+        base = dict(tolerance_band=0.10,
                     scale_up_stabilization=0.0, scale_down_stabilization=60.0,
                     cooldown_after_scale_up=0.0, max_step_up=50,
                     max_step_down=50)
@@ -231,19 +231,19 @@ class TestHpaController:
 
     def test_metric_at_target_holds(self):
         cluster = make_cluster(ready=3).state
-        ctrl = HpaController(self.cfg(), MU)
+        ctrl = HpaController(self.cfg(), 0.5, MU)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.target_replicas == 3
 
     def test_double_metric_doubles_replicas(self):
         cluster = make_cluster(ready=3).state
-        ctrl = HpaController(self.cfg(), MU)
+        ctrl = HpaController(self.cfg(), 0.5, MU)
         rec = ctrl.decide(snap(rate=30, ready=3), cluster)
         assert rec.action.target_replicas == 6
 
     def test_idle_load_descends_after_stabilization_window(self):
         cluster = make_cluster(ready=5).state
-        ctrl = HpaController(self.cfg(), MU)
+        ctrl = HpaController(self.cfg(), 0.5, MU)
         targets = []
         # one on-target decision seeds the window with a high candidate
         targets.append(ctrl.decide(snap(t=15, rate=25, ready=5),
@@ -255,7 +255,7 @@ class TestHpaController:
 
     def test_vpa_variant_attaches_recommendation(self):
         cluster = make_cluster(ready=3).state
-        ctrl = HpaController(self.cfg(), MU, with_vpa=True)
+        ctrl = HpaController(self.cfg(), 0.5, MU, with_vpa=True)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.vpa_recommendation == pytest.approx(0.5 * 1.15)
 
@@ -267,7 +267,7 @@ class TestHpaController:
     def test_vpa_recommendation_is_p90_of_every_metric(self, observations):
         cluster = make_cluster(ready=3).state
         cfg = self.cfg()
-        ctrl = HpaController(cfg, MU, with_vpa=True)
+        ctrl = HpaController(cfg, 0.5, MU, with_vpa=True)
         seen = []
         for i, (rate, ready) in enumerate(observations):
             s = snap(t=15.0 * (i + 1), rate=rate, ready=ready)
@@ -324,8 +324,8 @@ class TestControllerFactory:
 
     def test_tuned_baseline_is_more_eager_than_default(self):
         base = ControllerConfig()
-        default = baseline_config("default_hpa", base)
-        tuned = baseline_config("tuned_hpa", base)
-        assert tuned.cpu_target < default.cpu_target
+        default, default_cpu_target = baseline_config("default_hpa", base)
+        tuned, tuned_cpu_target = baseline_config("tuned_hpa", base)
+        assert tuned_cpu_target < default_cpu_target
         assert tuned.scale_down_stabilization < default.scale_down_stabilization
         assert tuned.max_step_up < default.max_step_up

@@ -19,40 +19,40 @@ from slosim.scenario import bundled_scenario, parse_scenario
 GOLDEN = {
     ("bursty", "default_hpa"): (
         "2cdabdfe7ccc4161bdb2a8b8b919059ab73c4cedec888763f20f5b228de21c74",
-        "a38094fe60a9a27a8f478ed757cd12af29335d280cb7c3e74155edfbaaee754d"),
+        "6e29d4ffc92aada608f2ac44110467dac72696c36b8417377549fbc690c5744c"),
     ("bursty", "tuned_hpa"): (
         "5b08e954aa1640c4860a8886906edbeb644d45f9a78b98e11b8cbdc18b33658a",
-        "84e01fb6421331565aef5fa0bd20c3b4a6f815411d9beeaf28a50285d264db20"),
+        "a4786c5127446f49a5d0e404c28c6edb21da8ce7d596f382db729ccc7d29a7d2"),
     ("bursty", "hpa_vpa"): (
         "004fc109e8f677ace5903f82852d7f462ae36ea5987510ebc76336163b60bc81",
-        "d72132d83af857514b04c873d9324f9a17553bcb921005000d8f7b09363bc3eb"),
+        "ade1f935d4ef64449c7639e6abe65e41f86a7c974de4162c9d413bba8a65435a"),
     ("bursty", "proposed"): (
         "4b3ab92936b09fa475b38cea3454679071019027b852ae6ca91f45fcf718e48b",
-        "5e9e978f371f53bee504357a0fd7cd75d36b940b82fd3cb30d66ecd1ecb97eff"),
+        "ef854e091c3a58400256349d71d4db71be2fe606658046914012b6b23939f4dd"),
     ("mixed", "default_hpa"): (
         "2ff8187409fbe2ae81e3aa72e1e522fe928a6fb62ba9e03003ff908b02e2a04b",
-        "6bd8d9d3513822253f33ac2f6e83a4d808fb622ec9cb988af3725ac580c83501"),
+        "5753dce3bd914ae37a2134343851fee7dc271a5c96e3e3408acc1107b6fdd153"),
     ("mixed", "tuned_hpa"): (
         "1368b2ae2dfe26a7ec031c76e4192e09a79f073002ea560c02106657a8e83b25",
-        "72058818f3a4911509b25862229e8be831e83167551fd9b113b3e02f23c1b707"),
+        "c55b0be4b949f60a5b51db8c4c8e9ea15be7d40940b95a9af92f03e183132206"),
     ("mixed", "hpa_vpa"): (
         "5a4f7abb2aa211841e43b29d401b4266a7a8c25b5a552b8446b67986545e3a85",
-        "f9c05c547a68be7b6929ec31638eca6c3fbf5a049c983a7b800d808035ff1a98"),
+        "588b2de59ccb58f7279231e807b67a70ee9a74864b059564dd6d07b5c1236ebb"),
     ("mixed", "proposed"): (
         "440c7186fd4097a27d61b7dfd25e27d1dccf92d08adc067afa68915e85590e39",
-        "b369bb55bf7799c58c30e46b454b459229e9b7222349e764e1fa4279bebd7f39"),
+        "dbd6794b8728c210296ce5b7038186607b4371890f30c5a555f2b92eb98ec97c"),
     ("queue_driven", "default_hpa"): (
         "f41466eb79d88ff153b810c283a020ddc54aa7d2b7ee83160cdba1a519211a7f",
-        "82ae015edc5847f27bd5fd2b3b13cc19e9304d8ac6047e7986d9a552530f2fc7"),
+        "ee68dcd3932d46ff19763d0ff89cf9153a55eef6572200b0145018496b59a305"),
     ("queue_driven", "tuned_hpa"): (
         "f75903c597e93fab68e78a665325b3280b3d27125738dba632f81003a7c53e85",
-        "688b3adba890e7954e9aeb4c7b77ab675c39c4cd30b12b1001c6b3c11aceb73f"),
+        "884e2801d83fc5ce4ba7d0d43baf7f8c282d09610b1a7543e64b97d90a28d96b"),
     ("queue_driven", "hpa_vpa"): (
         "783fd16bd00b38840eb57e99b7252dad9680ab3cd935ebc963d5b32f76008adc",
-        "3378d5decca65424c053c04b12e872d3250ac7ac9a55f98f30eaadbfd6a7a918"),
+        "f12e7af179cf2f8dcb88aafd6cc245c0a7d811b365c95d318ddb3d4204aa60a8"),
     ("queue_driven", "proposed"): (
         "7eae67e2387e2eb5dd90acb66cb8048ad81e90a79884a766b9fe9531b9a0d0db",
-        "4450c366b7279173aef39913681bc11a8aa75c97158b256514354543ca049ddb"),
+        "c42ad5c87f7176e23eae7572b2da1953ae3494c7cc176305ca0474e5c6d7fd05"),
 }
 
 
@@ -61,10 +61,10 @@ GOLDEN = {
 NOISY_GOLDEN = {
     "hpa_vpa": (
         "fbb7920fd6f95e8ca7e68367cb8e8f61bc9f9e9588c7fcadd787e5ebdb797e6e",
-        "5a491c6cbffae7a8a8bc382c134a2aa71ef6d2d336e31b63270f442783284f8c"),
+        "d7a971cf49b27ded6abbb1ff6130806fc51eab60e2d15bc3840be1db33585c2e"),
     "proposed": (
         "94a21c9aa44edff8df5778a5660f15779aa9002cc44c44e5ebe9b8cf1dddeab2",
-        "4e56c7852324807bd3480b355db68abaaa3d704ad439da0d30100ad7b516d35d"),
+        "690af1b957fa3939e2053d433007cc58d6dd23b3bdbb3bb39166987ef92bb008"),
 }
 
 
@@ -76,10 +76,10 @@ FLEET_FACTOR = 100
 FLEET_GOLDEN = {
     "default_hpa": (
         "9006e8b65966ef31071b7bdca63ed04dd84cc908eaf73b2af0014c936c9f74ab",
-        "1763e70db335ab2bbd8efeb743228095d3515285ac6e37822dbcfa5e87f3ab5e"),
+        "7cd24412317f22450d3c0c255ae155a415ecf35202d8267f37764cc19fcc3274"),
     "proposed": (
         "820e70947afa5ac1ffd7cb3d4d98086770a93ff4507cd32ae390074abded9061",
-        "61fe21af2cdbb889629feffb21567bf3db4e00921b6fef5bba0cb9b05cec1c99"),
+        "3d20322e1763f722bdacafd9733709eb55e9725933a707e7782a347a384411e5"),
 }
 
 
@@ -89,16 +89,16 @@ FLEET_GOLDEN = {
 EDGE_GOLDEN = {
     "default_hpa": (
         "8cedd534759e8b96be64def6b70b3a8dbf523a1b0fbd5e4d78cee5098a575fda",
-        "cd9c434d8c79feb78495549f914801c74ba1c56d2b4ccbf82b5ea4d3ef1b3ff0"),
+        "368ba6c585ae0bed5e5b25dd8d59346c98084bf7d3f8d1b2c252df53877be3fa"),
     "tuned_hpa": (
         "3896b10b9d451de020c7af3e73b0bd9faec3f0a704ba5a920deb7408bb9be7da",
-        "47ca42006f13a77401ad99f9fafaed76bf39239a0a46a7608394be5f08ded03a"),
+        "0fb25a23eff999b07054612f64fcd27afa285a69b75a5c7fbc32f454ef3d83e5"),
     "hpa_vpa": (
         "e74f5942ea84282f2230fc220003ed85b908dc50e816fc3a6ef34d8741cdd941",
-        "88f800a02dd9230d400edba25d497d9b344c343bc24d4fac8fa2cc9d14c89bad"),
+        "4fef7ffa6faeb451e9925ee50350f439ae4b1669f0846ec3aeb8204bf3fba236"),
     "proposed": (
         "1268d41cdff458ba188b4248993d146d80c8d08d0616337ddbd54729ae40ebb1",
-        "e6dacf61f8a30d6edde37f740b1566c6c4c996726cf9e2bddb92eb6b8b25d403"),
+        "2bd8f6140008f9ba63513f1b791d2b327f889db70d1b3aea95dd4540d12c34c6"),
 }
 
 

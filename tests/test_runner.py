@@ -2,9 +2,7 @@
 node requests it makes."""
 
 import dataclasses
-import json
 import math
-from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,12 +15,8 @@ from slosim.scenario import bundled_scenario, parse_scenario
 from slosim.signals import SignalSnapshot
 from slosim.sim import Cluster
 
-from helpers import json_decision_lines, json_trace_lines, make_cluster, make_decision
-
-
-def bundled_doc(name):
-    return json.loads((resources.files("slosim") / "scenarios"
-                       / f"{name}.json").read_text())
+from helpers import (bundled_doc, json_decision_lines, json_trace_lines,
+                     make_cluster, make_decision)
 
 
 def small_trace():
@@ -91,8 +85,8 @@ class TestWriters:
                                   utilization=-math.inf, pending=0,
                                   arrival_rate=0.0, ready_replicas=0)
         trace.append(1, 2, 0, 0, 1, math.inf, math.nan, math.nan, DecisionRecord(
-            t=2.0, snapshot=snapshot, slo_demand=1, backlog_adjusted=1,
-            post_guardrail=1, constraints_applied=("bound_clamp",),
+            snapshot=snapshot, slo_demand=1, backlog_adjusted=1,
+            constraints_applied=("bound_clamp",),
             action=ScalingAction(1, vpa_recommendation=math.inf), reason="x"))
         text = trace.to_jsonl()
         assert text == json_trace_lines(trace)

@@ -34,12 +34,12 @@ class TestBursty:
     def test_quiet_phase_yields_base_rate(self):
         t = 0.0
         assert not in_burst(BURSTY, t)
-        assert arrivals_at(BURSTY, t, 1.0) == 50
+        assert arrivals_at(BURSTY, 0, t, 1.0) == 50
 
     def test_burst_phase_multiplies_rate(self):
         onset = burst_onsets(BURSTY, 600)[0]
         assert in_burst(BURSTY, onset)
-        assert arrivals_at(BURSTY, onset, 1.0) == 200
+        assert arrivals_at(BURSTY, 0, onset, 1.0) == 200
 
     def test_onsets_are_periodic_and_exclude_t0(self):
         onsets = burst_onsets(BURSTY, 3600)
@@ -49,17 +49,17 @@ class TestBursty:
         assert diffs == {600.0}
 
     def test_same_inputs_same_output(self):
-        noisy = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3, seed=7)
-        assert arrivals_at(noisy, 123, 1.0) == arrivals_at(noisy, 123, 1.0)
+        noisy = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
+        assert arrivals_at(noisy, 7, 123, 1.0) == arrivals_at(noisy, 7, 123, 1.0)
 
     @given(t=st.integers(0, 5000))
     def test_noiseless_generator_is_periodic(self, t):
         period = BURSTY.burst_interval
-        assert arrivals_at(BURSTY, t, 1.0) == arrivals_at(BURSTY, t + period, 1.0)
+        assert arrivals_at(BURSTY, 0, t, 1.0) == arrivals_at(BURSTY, 0, t + period, 1.0)
 
     def test_empirical_mean_matches_analytic_mean(self):
         horizon = 6 * int(BURSTY.burst_interval)
-        total = sum(arrivals_at(BURSTY, t, 1.0) for t in range(horizon))
+        total = sum(arrivals_at(BURSTY, 0, t, 1.0) for t in range(horizon))
         assert total / horizon == pytest.approx(analytic_mean_rate(BURSTY),
                                                 rel=0.01)
 
@@ -69,12 +69,12 @@ class TestQueueDriven:
                         ramps=((100, 200, 60), (300, 400, 25)))
 
     def test_base_rate_outside_ramps(self):
-        assert arrivals_at(self.SPEC, 50, 1.0) == 10
-        assert arrivals_at(self.SPEC, 250, 1.0) == 10
+        assert arrivals_at(self.SPEC, 0, 50, 1.0) == 10
+        assert arrivals_at(self.SPEC, 0, 250, 1.0) == 10
 
     def test_ramp_rate_inside_segment(self):
-        assert arrivals_at(self.SPEC, 150, 1.0) == 60
-        assert arrivals_at(self.SPEC, 350, 1.0) == 25
+        assert arrivals_at(self.SPEC, 0, 150, 1.0) == 60
+        assert arrivals_at(self.SPEC, 0, 350, 1.0) == 25
 
 
 class TestMixed:
@@ -82,17 +82,17 @@ class TestMixed:
                         burst_interval=600)
 
     def test_steady_stream_excludes_batch_share(self):
-        assert arrivals_at(self.SPEC, 0, 1.0) == 28
+        assert arrivals_at(self.SPEC, 0, 0, 1.0) == 28
 
     def test_bulk_batch_lands_mid_period(self):
         bulk_tick = self.SPEC.burst_interval / 2
         expected = 0.3 * 40 * 600 + 28
-        assert arrivals_at(self.SPEC, bulk_tick, 1.0) == expected
-        assert arrivals_at(self.SPEC, bulk_tick + 1, 1.0) == 28
+        assert arrivals_at(self.SPEC, 0, bulk_tick, 1.0) == expected
+        assert arrivals_at(self.SPEC, 0, bulk_tick + 1, 1.0) == 28
 
     def test_empirical_mean_restores_full_rate(self):
         horizon = 4 * int(self.SPEC.burst_interval)
-        total = sum(arrivals_at(self.SPEC, t, 1.0) for t in range(horizon))
+        total = sum(arrivals_at(self.SPEC, 0, t, 1.0) for t in range(horizon))
         assert total / horizon == pytest.approx(analytic_mean_rate(self.SPEC),
                                                 rel=0.01)
 
@@ -106,13 +106,13 @@ spec_strategy = st.builds(
     burst_interval=st.integers(120, 900),
     batch_fraction=st.floats(0, 1),
     noise_std=st.floats(0, 0.5),
-    seed=st.integers(0, 2**31 - 1),
 )
 
 
 @settings(deadline=None)
-@given(spec=spec_strategy, t=st.integers(0, 10_000))
-def test_arrivals_nonnegative_and_deterministic(spec, t):
-    first = arrivals_at(spec, t, 1.0)
+@given(spec=spec_strategy, seed=st.integers(0, 2**31 - 1),
+       t=st.integers(0, 10_000))
+def test_arrivals_nonnegative_and_deterministic(spec, seed, t):
+    first = arrivals_at(spec, seed, t, 1.0)
     assert first >= 0
-    assert first == arrivals_at(spec, t, 1.0)
+    assert first == arrivals_at(spec, seed, t, 1.0)
