@@ -2,10 +2,22 @@
 
 Every generator is a pure function of (spec, seed, t), so the same spec and
 seed replayed against different controllers yield identical arrival streams.
+
+Noise: tick k's factor is the first mean-one log-normal draw of
+`numpy.random.default_rng([seed, k])`. `_seed_words` hashes the seeding
+words of those generators a block of ticks at a time, as a vectorised copy
+of numpy's `SeedSequence` (kept stable by NEP 19), and numpy's own `PCG64`
+and `Generator` draw from them, so every factor is numpy's to the bit.
+`numpy.random` is imported at the first noisy draw, not before.
+
+Mixed batches: one per `burst_interval`, landing in the first tick that
+starts at or after the period's midpoint, whatever the tick length.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +71,8 @@ def burst_onsets(spec: WorkloadSpec, horizon: float) -> list[float]:
     """Analytic burst start times within [0, horizon) for noiseless specs."""
     off = _burst_offset(spec)
     onsets = []
-    t = off
-    while t < horizon:
+    while (t := off + len(onsets) * spec.burst_interval) < horizon:
         onsets.append(t)
-        t += spec.burst_interval
     return onsets
 
 
@@ -83,24 +93,115 @@ def _mean_rate(spec: WorkloadSpec, t: float) -> float:
 
 
 def _batch_bulk(spec: WorkloadSpec, t: float, dt: float) -> float:
-    """Bulk requests injected once per batch period, mid-period like bursts."""
+    """Bulk requests injected once per batch period, mid-period like bursts.
+
+    A batch lands in the first tick that starts at or after its period's
+    midpoint; counting from the tick index makes the sum telescope to
+    exactly one batch per period.
+    """
     if spec.kind != "mixed" or spec.batch_fraction == 0:
         return 0.0
-    phase = t % spec.burst_interval
-    mid = spec.burst_interval / 2.0
-    if mid <= phase < mid + dt:
-        return spec.batch_fraction * spec.base_rate * spec.burst_interval
-    return 0.0
+    period = spec.burst_interval
+    mid = period / 2.0
+
+    def landed(k: int) -> int:
+        # midpoints in [0, k * dt]; none lie before the run starts
+        return max(0, math.floor((k * dt - mid) / period) + 1)
+
+    k = int(round(t / dt))
+    batches = landed(k) - landed(k - 1)
+    return batches * spec.batch_fraction * spec.base_rate * period
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+NOISE_BLOCK = 1024  # ticks whose seeding words are hashed together
+
+
+def _seed_words(seed: int, ticks: np.ndarray) -> np.ndarray:
+    """`SeedSequence([seed, tick]).generate_state(4, np.uint64)` for each
+    uint64 tick in `ticks`, one row per tick."""
+    u32 = np.uint32
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ u32(const)
+        const = const * _MULT_A & 0xFFFFFFFF
+        value = value * u32(const)
+        return value ^ (value >> u32(16))
+
+    def mix(x, y):
+        value = u32(_MIX_L) * x - u32(_MIX_R) * y
+        return value ^ (value >> u32(16))
+
+    # numpy's entropy is [seed, tick] as 32-bit words (a tick of 2**32 or
+    # more takes two, low first); the pool of four is padded with zeros
+    entropy = (np.full(ticks.shape, seed, u32),
+               (ticks & 0xFFFFFFFF).astype(u32),
+               (ticks >> 32).astype(u32),
+               np.zeros(ticks.shape, u32))
+    pool = [hashmix(word) for word in entropy]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    state = np.empty((len(ticks), 2 * _POOL), u32)
+    const = _INIT_B
+    for i in range(2 * _POOL):
+        value = pool[i % _POOL] ^ u32(const)
+        const = const * _MULT_B & 0xFFFFFFFF
+        value = value * u32(const)
+        state[:, i] = value ^ (value >> u32(16))
+    # numpy pairs the 32-bit words little-endian first on every host
+    pairs = state.astype("<u4", copy=False).view("<u8")
+    return pairs.astype(np.uint64, copy=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _seed_block(seed: int, block: int) -> np.ndarray:
+    start = block * NOISE_BLOCK
+    words = _seed_words(seed, np.arange(start, start + NOISE_BLOCK,
+                                        dtype=np.uint64))
+    words.flags.writeable = False  # shared by every caller of the cache
+    return words
+
+
+@functools.cache
+def _lognormal_draw():
+    """`draw(words, sigma)`: numpy's first mean-one log-normal draw from a
+    `PCG64` seeded with `words`. Imports `numpy.random` on first use."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """The words `SeedSequence` would give PCG64, already hashed."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("holds PCG64's four uint64 words only")
+            return self.words
+
+    def draw(words, sigma: float) -> float:
+        rng = Generator(PCG64(Words(words)))
+        # mean-one log-normal so the noiseless analytic mean is preserved
+        return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+
+    return draw
 
 
 def _noise_factor(spec: WorkloadSpec, seed: int, t: float, dt: float) -> float:
     if spec.noise_std == 0:
         return 1.0
-    sigma = spec.noise_std
-    tick = int(round(t / dt))
-    rng = np.random.default_rng([seed, tick])
-    # mean-one log-normal so the noiseless analytic mean is preserved
-    return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+    block, row = divmod(int(round(t / dt)), NOISE_BLOCK)
+    return _lognormal_draw()(_seed_block(seed, block)[row], spec.noise_std)
 
 
 def arrivals_at(spec: WorkloadSpec, seed: int, t: float, dt: float) -> int:

@@ -1,11 +1,24 @@
-"""Arrival generators: shapes, determinism, and long-run means."""
+"""Arrival generators: shapes, determinism, long-run means, and the noise
+contract against numpy's own generator."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slosim
 from slosim.workload import (
+    NOISE_BLOCK,
     WorkloadSpec,
+    _batch_bulk,
+    _noise_factor,
+    _seed_words,
     analytic_mean_rate,
     arrivals_at,
     burst_onsets,
@@ -47,6 +60,14 @@ class TestBursty:
         assert onsets[0] > 0
         diffs = {b - a for a, b in zip(onsets, onsets[1:])}
         assert diffs == {600.0}
+
+    def test_onsets_do_not_drift_over_a_day(self):
+        spec = WorkloadSpec(kind="bursty", burst_duration=0.1,
+                            burst_interval=0.3)
+        off = (0.3 - 0.1) / 2
+        onsets = burst_onsets(spec, 86_400)
+        assert len(onsets) == 288_000
+        assert onsets == [off + i * 0.3 for i in range(len(onsets))]
 
     def test_same_inputs_same_output(self):
         noisy = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
@@ -96,6 +117,21 @@ class TestMixed:
         assert total / horizon == pytest.approx(analytic_mean_rate(self.SPEC),
                                                 rel=0.01)
 
+    # 60 periods of 600 s: every tick start up to the last midpoint, 35 700 s
+    @pytest.mark.parametrize("dt,n_ticks", [
+        (0.1, 360_000), (0.3, 120_000), (0.6, 60_000), (0.7, 51_429),
+        (700, 52),
+    ])
+    def test_one_batch_per_period_at_any_tick(self, dt, n_ticks):
+        bulk = 0.3 * 40 * 600
+        total = sum(_batch_bulk(self.SPEC, k * dt, dt) for k in range(n_ticks))
+        assert total == pytest.approx(60 * bulk)
+
+    def test_batch_lands_in_first_tick_at_or_after_midpoint(self):
+        dt = 0.7
+        landed = [k for k in range(1000) if _batch_bulk(self.SPEC, k * dt, dt)]
+        assert landed == [429]  # 428 * 0.7 < 300 <= 429 * 0.7
+
 
 spec_strategy = st.builds(
     WorkloadSpec,
@@ -116,3 +152,71 @@ def test_arrivals_nonnegative_and_deterministic(spec, seed, t):
     first = arrivals_at(spec, seed, t, 1.0)
     assert first >= 0
     assert first == arrivals_at(spec, seed, t, 1.0)
+
+
+class TestNoiseOracle:
+    """Tick k's factor is the first mean-one log-normal draw of numpy's
+    `default_rng([seed, k])`, exactly."""
+
+    SIGMA = 0.3
+    SPEC = WorkloadSpec(kind="bursty", noise_std=SIGMA)
+    SEEDS = [0, 1, 2**31 - 1,
+             *map(int, np.random.default_rng(2024).integers(0, 2**31, 3))]
+    TICKS = [0, NOISE_BLOCK - 1, NOISE_BLOCK, 2 * NOISE_BLOCK - 1, 86_399,
+             2**32 - 1, 2**32, 2**40 + 5,
+             *map(int, np.random.default_rng(2025).integers(0, 2**41, 6))]
+
+    def oracle(self, seed, tick):
+        rng = np.random.default_rng([seed, tick])
+        sigma = self.SIGMA
+        return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_factor_equals_default_rng_draw(self, seed):
+        for tick in self.TICKS:
+            got = _noise_factor(self.SPEC, seed, float(tick), 1.0)
+            assert got == self.oracle(seed, tick), tick
+
+    def test_seeds_interleaved_call_by_call(self):
+        seeds = (3, 2**31 - 1, 77)
+        ticks = [*range(NOISE_BLOCK - 40, NOISE_BLOCK + 40),
+                 *range(5 * NOISE_BLOCK - 3, 5 * NOISE_BLOCK + 3), 7, 86_399]
+        for tick in ticks:
+            for seed in seeds:
+                got = _noise_factor(self.SPEC, seed, float(tick), 1.0)
+                assert got == self.oracle(seed, tick), (seed, tick)
+
+    def test_fractional_tick_uses_the_tick_index(self):
+        dt = 0.1
+        for k in (0, 3, NOISE_BLOCK, 86_399):
+            assert _noise_factor(self.SPEC, 9, k * dt, dt) == self.oracle(9, k)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_words_equal_seed_sequence_state(self, seed):
+        ticks = np.array(self.TICKS + [2**63 + 7], dtype=np.uint64)
+        words = _seed_words(seed, ticks)
+        assert words.dtype == np.uint64 and words.shape == (len(ticks), 4)
+        for tick, row in zip(ticks, words):
+            want = np.random.SeedSequence([seed, int(tick)]).generate_state(
+                4, np.uint64)
+            assert row.tolist() == want.tolist(), tick
+
+
+def test_noiseless_run_never_imports_numpy_random():
+    """numpy.random costs interpreter start-up time; only noise needs it."""
+    code = textwrap.dedent("""
+        import sys
+        from slosim import cli, metrics, runner, scenario
+        scn = scenario.bundled_scenario("bursty")
+        assert scn.workload.noise_std == 0
+        for kind in scn.controllers:
+            trace = runner.run(scn, kind)
+            metrics.build_report(trace, scn.workload, scn.controller,
+                                 scn.service.per_replica_rate)
+        print("numpy.random" in sys.modules)
+    """)
+    src = str(Path(slosim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
