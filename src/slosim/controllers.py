@@ -260,10 +260,10 @@ class HpaController:
         self.cfg = cfg
         self.cpu_target = cpu_target
         self.mu = mu
-        self.with_vpa = with_vpa
         self.history = GuardrailState()
         self.target: int | None = None
-        self.usage: list[float] = []  # every CPU metric so far, ascending
+        # every CPU metric so far, ascending; kept only for the VPA advisor
+        self.usage: list[float] | None = [] if with_vpa else None
 
     def decide(self, s: SignalSnapshot, cluster: ClusterState) -> DecisionRecord:
         cfg = self.cfg
@@ -273,7 +273,9 @@ class HpaController:
         metric = cpu_metric(s, self.mu, cfg.control_interval)
         # a new value lands after equal ones, where a stable sort of the
         # samples in arrival order puts it, so the p90 is unchanged
-        bisect.insort(self.usage, metric)
+        usage = self.usage
+        if usage is not None:
+            bisect.insort(usage, metric)
         cpu_target = self.cpu_target
         desired = hpa_desired(current, metric, cpu_target, cfg.tolerance_band)
         constraints: list[str] = []
@@ -283,7 +285,7 @@ class HpaController:
         final, guard = enforce_guardrails(desired, current, cfg, self.history, s.t)
         constraints.extend(guard)
         self.target = final
-        vpa = vpa_recommend(self.usage) if self.with_vpa else None
+        vpa = vpa_recommend(usage) if usage is not None else None
         reason = _describe(final, current, constraints,
                            f"cpu {metric:.2f} vs target {cpu_target:.2f}")
         return DecisionRecord(

@@ -5,18 +5,17 @@ requests that cannot be served in a tick accumulate in a FIFO backlog, and
 latency follows an M/M/c-flavored closed form with a saturation branch.
 Nothing here is random; all variation enters through the workload generator.
 
-State is kept in aggregate so that a tick costs the same at any fleet size:
-replicas are cohorts of pods placed together on one node, and every active
-node sits in exactly one of two tables. The busy table maps each node that
-holds pods to its pod count; the idle table maps each empty node to the time
-it emptied. A node activates into the idle table, moves to the busy table
-when it fills and back when it empties, and retires out of the idle table;
-the nodes still being provisioned are only their activation times. Placed
-and ready pods are counters updated where they change, and every node
-quantity (active and live nodes, free slots) is read off those tables.
-`Cluster.check_invariants` recounts the busy table from the cohorts on every
-tick; empty nodes, often most of a large fleet, cost it only their idle
-order.
+Placement fills active nodes first-fit in id order, scale-down removes the
+newest pods first, and every node has the same number of slots. So the
+occupied slots always form a prefix of the active nodes in id order: the
+busy nodes are the lowest active ids, all of them full but the last, and
+every idle node has a higher id than every busy one. The state keeps only
+what that rule leaves open: the placed pod count, the busy ids in order,
+the idle ids with the time each emptied, and the activation times of the
+nodes still being provisioned. Replicas are cohorts of pods placed at one
+time, and the pods still starting are the cohorts at the tail whose
+`ready_at` is ahead. `Cluster.check_invariants` checks every stored fact on
+every tick; an idle node costs it only its place in two C-level passes.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ class ServiceModel:
 
 @dataclass
 class Cohort:
-    """A cohort: `count` pods placed on one node at once, ready at `ready_at`."""
+    """A cohort: `count` pods placed at one time, ready at `ready_at`."""
 
-    node_id: int
     ready_at: float
     count: int = 1
 
@@ -75,48 +73,43 @@ class ClusterParams:
 
 @dataclass
 class ClusterState:
-    """Everything a tick reads: cohorts, the two node tables and counters.
+    """Everything a tick reads: cohorts, the busy and idle nodes, counters.
 
-    `replicas` holds cohorts in placement order, newest last. Pods are placed
-    at the current time with the constant `pod_start_delay >= 0`, and time
-    only moves forward, so `ready_at` never decreases along the list and the
-    ready pods are the cohorts before the first one whose `ready_at` is still
-    ahead. `ready_replicas` moves that boundary forward when read; every
-    cohort crosses it once, so reading is amortized O(1).
+    `replicas` holds cohorts in placement order, newest last, and
+    `total_replicas` is the sum of their counts. Pods are placed at the
+    current time with the constant `pod_start_delay >= 0`, and time only
+    moves forward, so `ready_at` never decreases along the list: the pods
+    still starting are the cohorts at the tail whose `ready_at` is ahead,
+    and `ready_replicas` is the total less those.
 
-    Node ids are handed out as nodes activate, and each active node is in
-    exactly one table. `nodes` maps each busy node (one holding pods) to its
-    pod count, which is never 0, in no particular order. `idle` maps each
-    empty active node to the time it emptied, in that order; a retired node
+    Node ids are handed out as nodes activate, and the occupied slots are a
+    prefix of the active nodes in id order (see the module docstring). So
+    `busy` is the `ceil(total_replicas / node_capacity)` lowest active ids,
+    in ascending order, and `idle` maps each other active node to the time
+    it emptied, in that order, all of them above `busy[-1]`; a retired node
     is deleted from it. `provisioning` holds the activation times of the
-    nodes on their way, in order. `Cluster` keeps `total_replicas` (placed
-    pods) and the ready boundary `ready_cohorts` with its pod count
-    `ready_pods` current wherever they change, and `time` is `ticks` steps of
-    the fixed tick. Replicas sit only on busy nodes and every node has
-    `params.node_capacity` slots, so the node quantities are read off the
-    tables.
+    nodes on their way, in order, and `time` is `ticks` steps of the fixed
+    tick.
     """
 
     # the fixed limits this state evolves under; controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
     ticks: int = 0
-    nodes: dict[int, int] = field(default_factory=dict)
+    busy: list[int] = field(default_factory=list)
     replicas: list[Cohort] = field(default_factory=list)
     pending_replicas: int = 0
     queue_depth: float = 0.0
     cumulative_served: float = 0.0
     cumulative_arrived: float = 0.0
     total_replicas: int = field(default=0, init=False)
-    ready_cohorts: int = field(default=0, init=False)
-    ready_pods: int = field(default=0, init=False)
     provisioning: deque[float] = field(default_factory=deque, init=False)
     idle: dict[int, float] = field(default_factory=dict, init=False)
 
     @property
     def active_nodes(self) -> int:
         """Busy and empty nodes."""
-        return len(self.nodes) + len(self.idle)
+        return len(self.busy) + len(self.idle)
 
     @property
     def live_nodes(self) -> int:
@@ -130,13 +123,13 @@ class ClusterState:
 
     @property
     def ready_replicas(self) -> int:
-        """Pods whose `ready_at` has passed; counts newly ready cohorts first."""
-        reps, i, t = self.replicas, self.ready_cohorts, self.time
-        while i < len(reps) and reps[i].ready_at <= t:
-            self.ready_pods += reps[i].count
-            i += 1
-        self.ready_cohorts = i
-        return self.ready_pods
+        """Placed pods less the cohorts at the tail that are still starting."""
+        ready, t = self.total_replicas, self.time
+        for cohort in reversed(self.replicas):
+            if cohort.ready_at <= t:
+                break
+            ready -= cohort.count
+        return ready
 
 
 def observe_latency(state: ClusterState, arrival_rate: float,
@@ -186,37 +179,32 @@ class Cluster:
         # new node holds no replicas, so it starts idle
         self.state.idle[next(self._node_ids)] = now
 
+    def _nodes_for(self, pods: int) -> int:
+        """How many busy nodes `pods` placed pods fill."""
+        return -(-pods // self.params.node_capacity)
+
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
         s = self.state
-        want = min(count, s.free_slots)
-        if want <= 0:
+        placed = min(count, s.free_slots)
+        if placed <= 0:
             return 0
-        nodes, idle, capacity = s.nodes, s.idle, self.params.node_capacity
-        placed = 0
-        for node_id in sorted([*nodes, *idle]):
-            used = nodes.get(node_id, 0)
-            take = min(capacity - used, want - placed)
-            if take > 0:
-                if used == 0:
-                    del idle[node_id]
-                nodes[node_id] = used + take
-                self._add_cohort(node_id, ready_at, take)
-                placed += take
-                if placed == want:
-                    break
         s.total_replicas += placed
+        reps = s.replicas
+        if reps and reps[-1].ready_at == ready_at:
+            reps[-1].count += placed
+        else:
+            reps.append(Cohort(ready_at, placed))
+        # the pods fill the last busy node, then the lowest idle ids; the
+        # total only grew, so this count is never negative
+        filled = self._nodes_for(s.total_replicas) - len(s.busy)
+        if filled:
+            idle = s.idle
+            ids = sorted(idle)[:filled]
+            for node_id in ids:
+                del idle[node_id]
+            s.busy += ids
         return placed
-
-    def _add_cohort(self, node_id: int, ready_at: float, count: int):
-        reps = self.state.replicas
-        # a cohort already counted ready must not grow behind the counter
-        if len(reps) > self.state.ready_cohorts:
-            last = reps[-1]
-            if last.node_id == node_id and last.ready_at == ready_at:
-                last.count += count
-                return
-        reps.append(Cohort(node_id, ready_at, count))
 
     def _discharge_pending(self):
         if self.state.pending_replicas <= 0:
@@ -235,20 +223,17 @@ class Cluster:
         reps = s.replicas
         while count > 0:
             last = reps[-1]
-            take = min(count, last.count)
-            count -= take
-            if len(reps) <= s.ready_cohorts:
-                s.ready_pods -= take
-            last.count -= take
-            if last.count == 0:
-                reps.pop()
-                s.ready_cohorts = min(s.ready_cohorts, len(reps))
-            used = s.nodes[last.node_id] - take
-            if used == 0:
-                del s.nodes[last.node_id]
-                s.idle[last.node_id] = s.time
-            else:
-                s.nodes[last.node_id] = used
+            if last.count > count:
+                last.count -= count
+                break
+            count -= last.count
+            reps.pop()
+        # the newest pods sit in the highest slots, so the highest busy nodes
+        # empty, highest id first
+        busy, idle = s.busy, s.idle
+        keep = self._nodes_for(s.total_replicas)
+        while len(busy) > keep:
+            idle[busy.pop()] = s.time
 
     # -- spec operations --------------------------------------------------
 
@@ -314,59 +299,48 @@ class Cluster:
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Recount every fact from cohorts and tables; O(busy nodes + cohorts
-        + idle nodes), where an idle node costs only its place in time order."""
+        """Check every stored fact; O(cohorts + busy nodes + idle nodes), where
+        the nodes cost only C-level passes. Each check raises AssertionError
+        itself, so that `python -O` keeps it."""
         s = self.state
-        assert s.queue_depth >= -1e-9, "negative queue"
-        assert s.pending_replicas >= 0, "negative pending"
-        assert abs(s.cumulative_arrived - s.cumulative_served - s.queue_depth) < 1e-6, \
-            "request conservation violated"
+        if not s.queue_depth >= -1e-9:
+            raise AssertionError("negative queue")
+        if not s.pending_replicas >= 0:
+            raise AssertionError("negative pending")
+        if not abs(s.cumulative_arrived - s.cumulative_served
+                   - s.queue_depth) < 1e-6:
+            raise AssertionError("request conservation violated")
 
-        per_node = {}
-        get = per_node.get
+        total = 0
         prev_ready_at = -math.inf
         for rep in s.replicas:
-            node_id, ready_at, count = rep.node_id, rep.ready_at, rep.count
-            assert count > 0, "empty cohort"
-            assert ready_at >= prev_ready_at, "cohorts out of ready_at order"
+            ready_at, count = rep.ready_at, rep.count
+            if not count > 0:
+                raise AssertionError("empty cohort")
+            if not ready_at >= prev_ready_at:
+                raise AssertionError("cohorts out of ready_at order")
             prev_ready_at = ready_at
-            per_node[node_id] = get(node_id, 0) + count
-        total = sum(per_node.values())
-        k = s.ready_cohorts
-        assert k <= len(s.replicas) and (
-            k == 0 or s.replicas[k - 1].ready_at <= s.time), \
-            "a cohort counted ready is not ready"
-        # the cohorts not yet counted are few: those placed within one
-        # pod_start_delay
-        assert s.ready_pods == total - sum([rep.count for rep in s.replicas[k:]]), \
-            "ready counter drifted"
-        assert s.total_replicas == total, "replica counter drifted"
+            total += count
+        if s.total_replicas != total:
+            raise AssertionError("replica counter drifted")
 
-        # every recounted node holds pods, so equality says at once that no
-        # cohort sits off the busy table, that every busy count is right and
-        # that no busy node is empty; the loop only names the first culprit
-        nodes = s.nodes
-        if per_node != nodes:
-            for node_id in sorted(per_node.keys() | nodes.keys()):
-                assert node_id in nodes, \
-                    f"replica on node {node_id} outside the busy table"
-                assert node_id in per_node, f"busy node {node_id} holds no pods"
-                assert per_node[node_id] == nodes[node_id], \
-                    f"node {node_id} pod count mismatch"
-        # the recount is > 0, so only the upper bound needs checking
-        capacity = self.params.node_capacity
-        assert max(nodes.values(), default=0) <= capacity, "node {} overfull".format(
-            min(i for i in nodes if nodes[i] > capacity))
+        # the prefix rule: exactly enough busy nodes for the pods, in id
+        # order, all below every idle node, so none is both busy and idle
+        busy, idle = s.busy, s.idle
+        if len(busy) != self._nodes_for(total):
+            raise AssertionError("busy node count does not fit the replicas")
+        if busy != sorted(set(busy)):
+            raise AssertionError("busy nodes out of order")
+        if busy and idle and busy[-1] >= min(idle):
+            raise AssertionError(
+                "idle node {} not above the busy ones".format(min(idle)))
 
-        # `idle` holds the empty nodes, so no busy one, and each queue is in
-        # the time order its scan relies on
-        idle = s.idle
-        assert idle.keys().isdisjoint(nodes.keys()), \
-            "node {} is both busy and idle".format(min(idle.keys() & nodes.keys()))
+        # each queue is in the time order its scan relies on
         idle_since = list(idle.values())
-        assert idle_since == sorted(idle_since), "idle nodes out of order"
+        if idle_since != sorted(idle_since):
+            raise AssertionError("idle nodes out of order")
         provisioning = list(s.provisioning)
-        assert provisioning == sorted(provisioning), \
-            "provisioning nodes out of order"
-        assert s.live_nodes <= self.params.max_nodes, \
-            "more live nodes than max_nodes"
+        if provisioning != sorted(provisioning):
+            raise AssertionError("provisioning nodes out of order")
+        if s.live_nodes > self.params.max_nodes:
+            raise AssertionError("more live nodes than max_nodes")

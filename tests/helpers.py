@@ -8,7 +8,7 @@ from importlib import resources
 
 from slosim.controllers import DecisionRecord, ScalingAction
 from slosim.signals import SignalSnapshot
-from slosim.sim import Cluster, ClusterParams
+from slosim.sim import Cluster, ClusterParams, ClusterState, Cohort
 from slosim.workload import burst_onsets
 
 
@@ -27,6 +27,17 @@ def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
     cluster.state.queue_depth = queue
     cluster.state.cumulative_arrived = queue
     return cluster
+
+
+def state_with(ready: int = 0, queue: float = 0.0,
+               pending: int = 0) -> ClusterState:
+    """A bare state with `ready` pods ready since t=0, a `queue` backlog and
+    `pending` unplaced replicas, for reading signals; it holds no nodes."""
+    state = ClusterState(queue_depth=queue, pending_replicas=pending)
+    if ready:
+        state.replicas.append(Cohort(0.0, ready))
+    state.total_replicas = ready
+    return state
 
 
 @dataclass

@@ -24,9 +24,9 @@ from slosim.controllers import (
 )
 from slosim.runner import RunTrace, run
 from slosim.signals import ForecastState, SignalSnapshot, forecast_horizon, forecast_update
-from slosim.sim import Cluster, ClusterParams, ClusterState, Cohort, ServiceModel, observe_latency
+from slosim.sim import Cluster, ClusterParams, ServiceModel, observe_latency
 
-from helpers import make_decision
+from helpers import make_decision, state_with
 
 SUITE = settings(max_examples=1000, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -220,16 +220,14 @@ def test_criterion_5_request_conservation(ops, nodes, capacity, initial):
        initial=st.integers(0, 8))
 def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     cluster, _ = _run_ops(ops, nodes, capacity, initial)
-    per_node = {}
-    for rep in cluster.state.replicas:
-        per_node[rep.node_id] = per_node.get(rep.node_id, 0) + rep.count
-    # the busy table holds the nodes with pods; empty ones are in `idle`
-    nodes = cluster.state.nodes
-    for node_id, used in nodes.items():
-        assert per_node.get(node_id, 0) == used
-        assert 0 <= used <= cluster.params.node_capacity
-    assert per_node.keys() <= nodes.keys()
-    assert cluster.state.live_nodes <= cluster.params.max_nodes
+    s = cluster.state
+    # the pods fill the busy nodes, all full but the last, and every idle
+    # node lies above them
+    assert sum(rep.count for rep in s.replicas) == s.total_replicas
+    assert len(s.busy) == math.ceil(s.total_replicas / capacity)
+    assert s.busy == sorted(set(s.busy))
+    assert max(s.busy, default=-1) < min(s.idle, default=math.inf)
+    assert s.live_nodes <= cluster.params.max_nodes
 
 
 def test_criterion_5_determinism(all_runs, scenarios):
@@ -348,10 +346,8 @@ LATENCY_CASES = [
 def test_criterion_6_latency_closed_form_oracle():
     mu = 10.0
     for rate, ready, queue, base, cap, expected in LATENCY_CASES:
-        state = ClusterState(queue_depth=queue)
-        state.replicas.extend(Cohort(0, 0.0) for _ in range(ready))
         model = ServiceModel(mu, base, cap)
-        got = observe_latency(state, rate, model)
+        got = observe_latency(state_with(ready, queue), rate, model)
         assert abs(got - expected) < 1e-9, (rate, ready, queue, got, expected)
     gate("criterion 6 (latency closed-form oracle)", True,
          f"{len(LATENCY_CASES)} hand-evaluated cases match")

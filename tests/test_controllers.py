@@ -259,6 +259,13 @@ class TestHpaController:
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.vpa_recommendation == pytest.approx(0.5 * 1.15)
 
+    def test_plain_variant_keeps_no_usage_history(self):
+        cluster = make_cluster(ready=3).state
+        ctrl = HpaController(self.cfg(), 0.5, MU)
+        rec = ctrl.decide(snap(rate=15, ready=3), cluster)
+        assert rec.action.vpa_recommendation is None
+        assert ctrl.usage is None
+
     # rates of 0, repeated values and overload give metrics of 0.0, ties and 1.0
     @given(st.lists(st.tuples(st.sampled_from([0.0, 5.0, 15.0, 200.0])
                               | st.floats(0, 100),

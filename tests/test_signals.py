@@ -12,15 +12,11 @@ from slosim.signals import (
     sample,
     utilization,
 )
-from slosim.sim import ClusterState, Cohort, ServiceModel, observe_latency
+from slosim.sim import ServiceModel, observe_latency
+
+from helpers import state_with
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
-
-
-def state_with(ready=0, queue=0.0, pending=0):
-    state = ClusterState(queue_depth=queue, pending_replicas=pending)
-    state.replicas.extend(Cohort(0, 0.0) for _ in range(ready))
-    return state
 
 
 class TestSample:

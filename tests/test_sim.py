@@ -3,33 +3,31 @@
 import ast
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slosim
 from slosim.runner import SimulationError, run
 from slosim.scenario import bundled_scenario
 from slosim.sim import (
     Cluster,
     ClusterParams,
-    ClusterState,
     Cohort,
     ServiceModel,
     observe_latency,
 )
 
-from helpers import ReferenceCluster, make_cluster
+from helpers import ReferenceCluster, make_cluster, state_with
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
-
-
-def state_with(ready=0, queue=0.0):
-    state = ClusterState(queue_depth=queue)
-    state.replicas.extend(Cohort(0, 0.0) for _ in range(ready))
-    return state
 
 
 class TestServiceModel:
@@ -86,7 +84,7 @@ class TestStep:
         c.step(0, MODEL, 1.0)
         assert c.state.active_nodes == 0
         # a retired node is dropped
-        assert 0 not in c.state.idle and 0 not in c.state.nodes
+        assert 0 not in c.state.idle and 0 not in c.state.busy
 
     def test_time_is_a_whole_number_of_ticks(self):
         # a running sum of 0.1 reads 600.0000000000679 after 6000 ticks
@@ -157,9 +155,10 @@ class TestObserveLatency:
 class TestSchedule:
     def test_matching_desired_is_noop(self):
         c = make_cluster(ready=4)
-        before = [(r.node_id, r.ready_at) for r in c.state.replicas]
+        before = [(r.ready_at, r.count) for r in c.state.replicas]
         c.schedule(4)
-        assert [(r.node_id, r.ready_at) for r in c.state.replicas] == before
+        assert [(r.ready_at, r.count) for r in c.state.replicas] == before
+        assert c.state.busy == [0]
 
     def test_scale_up_within_free_slots(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
@@ -179,9 +178,9 @@ class TestSchedule:
     def test_scale_down_removes_newest_first(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2)
         c.schedule(4)  # two more, newest land on node 1
-        assert c.state.nodes[1] == 2
+        assert c.state.busy == [0, 1]
         c.schedule(2)
-        assert c.state.nodes == {0: 2}
+        assert c.state.busy == [0]
         assert c.state.idle == {1: 0.0}
 
     def test_scale_down_drops_pending_before_placed(self):
@@ -195,22 +194,23 @@ class TestSchedule:
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert c.state.nodes == {0: 4, 1: 1}
+        assert c.state.busy == [0, 1]
         assert list(c.state.idle) == [2]
+        c.schedule(8)  # node 1 fills before node 2 takes a pod
+        assert c.state.busy == [0, 1]
+        c.schedule(9)
+        assert c.state.busy == [0, 1, 2]
+        assert c.state.idle == {}
 
-    def test_empty_node_below_a_busy_one_fills_first(self):
-        # first-fit with newest-first removal never builds this state, but
-        # it is sound, and placement still goes by id across both tables
-        c = make_cluster(ready=0, nodes=2, node_capacity=4)
-        s = c.state
-        del s.idle[1]
-        s.nodes[1] = 1
-        s.replicas.append(Cohort(1, 0.0))
-        s.total_replicas = 1
-        c.check_invariants()
+    def test_placements_at_one_time_share_a_cohort(self):
+        c = make_cluster(ready=0, nodes=3, node_capacity=4, pod_start_delay=5.0)
         c.schedule(3)
-        assert s.nodes == {1: 1, 0: 2}
-        assert [(r.node_id, r.count) for r in s.replicas] == [(1, 1), (0, 2)]
+        c.schedule(6)  # spans nodes 0 and 1, same ready time
+        c.step(0, MODEL, 1.0)
+        c.schedule(7)
+        assert [(r.ready_at, r.count) for r in c.state.replicas] == \
+            [(5.0, 6), (6.0, 1)]
+        assert c.state.busy == [0, 1]
 
     def test_idle_nodes_fill_in_id_order_not_idle_order(self):
         c = make_cluster(ready=3, nodes=3, node_capacity=1)
@@ -220,7 +220,7 @@ class TestSchedule:
         c.schedule(1)  # node 1 empties at t=2
         assert c.state.idle == {2: 1.0, 1: 2.0}
         c.schedule(2)
-        assert c.state.nodes == {0: 1, 1: 1}
+        assert c.state.busy == [0, 1]
         assert c.state.idle == {2: 1.0}
 
     def test_node_activated_after_a_retirement_fills_last(self):
@@ -234,8 +234,9 @@ class TestSchedule:
         c.step(0, MODEL, 1.0)
         assert c.state.idle == {2: 4.0}  # a fresh id, not node 1's
         c.schedule(4)
-        assert c.state.nodes == {0: 2, 2: 2}
-        assert [r.node_id for r in c.state.replicas[-2:]] == [0, 2]
+        assert c.state.busy == [0, 2]
+        assert [(r.ready_at, r.count) for r in c.state.replicas] == \
+            [(0.0, 1), (19.0, 3)]
 
 
 class TestProvisionNode:
@@ -311,8 +312,8 @@ def test_random_operations_keep_cluster_sound(ops, nodes, capacity, max_nodes,
 
 # The cohort model against the per-pod reference: same operations, same
 # answers. A step op advances `ticks` ticks with `arrivals` each; `look`
-# reads ready_replicas afterwards, which moves the ready boundary forward,
-# so skipped reads exercise a boundary that lags behind the clock.
+# reads ready_replicas afterwards, so skipped reads check that no state
+# depends on when it is read.
 diff_ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 30), st.just(0),
@@ -336,9 +337,14 @@ def assert_same(cluster, ref, look):
     assert s.live_nodes == ref.live_nodes
     assert s.free_slots == ref.free_slots
     assert s.queue_depth == ref.queue_depth
-    # the reference keeps every node it ever requested, retired ones too
+    # the reference keeps every node it ever requested, retired ones too;
+    # by the prefix rule every busy node is full but the last
     active = [n for n in ref.nodes if n.active]
-    assert sorted([*s.nodes.items(), *dict.fromkeys(s.idle, 0).items()]) == \
+    cap = cluster.params.node_capacity
+    used = [cap] * len(s.busy)
+    if used:
+        used[-1] = s.total_replicas - cap * (len(used) - 1)
+    assert sorted([*zip(s.busy, used), *dict.fromkeys(s.idle, 0).items()]) == \
         [(n.id, n.used) for n in active]
     assert s.idle == {n.id: n.idle_since for n in active if n.used == 0}
     cluster.check_invariants()
@@ -383,21 +389,21 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 
 
 # One corruption per fact check_invariants guards, with the message that
-# names it. Each applies to any state whose node 0 holds replicas.
+# names it. Each applies to any state with at least two busy nodes.
 def unused_id(s):
-    return max([*s.nodes, *s.idle]) + 1
+    return max([*s.busy, *s.idle]) + 1
 
 
 def used_off_by_one(s):
-    s.nodes[0] += 1
+    s.replicas[-1].count += 1
 
 
 def deactivate_busy_node(s):
-    del s.nodes[0]
+    del s.busy[0]
 
 
 def overfill(s):
-    s.params.node_capacity = s.nodes[0] - 1
+    s.params.node_capacity -= 1
 
 
 def break_conservation(s):
@@ -405,33 +411,27 @@ def break_conservation(s):
 
 
 def misorder_cohorts(s):
-    s.replicas.insert(0, Cohort(0, s.time + 100.0))
+    s.replicas.insert(0, Cohort(s.time + 100.0))
 
 
 def add_empty_cohort(s):
-    s.replicas.insert(0, Cohort(0, 0.0, count=0))
+    s.replicas.insert(0, Cohort(0.0, count=0))
 
 
-def drift(counter):
-    def corrupt(s):
-        setattr(s, counter, getattr(s, counter) + 1)
-    corrupt.__name__ = f"drift_{counter}"
-    return corrupt
+def drift_total_replicas(s):
+    s.total_replicas += 1
 
 
 def track_busy_node_as_idle(s):
-    s.idle[0] = s.time
+    s.idle[s.busy[0]] = s.time
 
 
 def keep_idle_node_busy(s):
-    node_id = unused_id(s)
-    s.idle[node_id] = s.time
-    s.nodes[node_id] = 0
+    s.idle[s.busy[-1]] = s.time
 
 
 def idle_node_with_cohorts(s):
-    del s.nodes[0]
-    s.idle[0] = s.time
+    s.idle[s.busy.pop()] = s.time
 
 
 def misorder_provisioning(s):
@@ -446,16 +446,16 @@ def negative_pending(s):
     s.pending_replicas = -1
 
 
-def count_past_the_cohorts(s):
-    s.ready_cohorts = len(s.replicas) + 1
-
-
 def misorder_nodes(s):
-    s.nodes[-1] = 0
+    s.busy.reverse()
+
+
+def repeat_busy_node(s):
+    s.busy[-1] = s.busy[0]
 
 
 def untrack_empty_node(s):
-    s.nodes[unused_id(s)] = 0
+    s.busy.append(unused_id(s))
 
 
 def misorder_idle(s):
@@ -470,23 +470,22 @@ def exceed_max_nodes(s):
 
 
 CORRUPTIONS = [
-    (used_off_by_one, "node 0 pod count mismatch"),
-    (deactivate_busy_node, "replica on node 0 outside the busy table"),
-    (idle_node_with_cohorts, "replica on node 0 outside the busy table"),
-    (overfill, "node 0 overfull"),
+    (used_off_by_one, "replica counter drifted"),
+    (deactivate_busy_node, "busy node count does not fit the replicas"),
+    (idle_node_with_cohorts, "busy node count does not fit the replicas"),
+    (overfill, "busy node count does not fit the replicas"),
     (break_conservation, "request conservation violated"),
     (misorder_cohorts, "cohorts out of ready_at order"),
     (add_empty_cohort, "empty cohort"),
-    (drift("total_replicas"), "replica counter drifted"),
-    (drift("ready_pods"), "ready counter drifted"),
-    (track_busy_node_as_idle, "node 0 is both busy and idle"),
-    (keep_idle_node_busy, r"busy node \d+ holds no pods"),
+    (drift_total_replicas, "replica counter drifted"),
+    (track_busy_node_as_idle, "idle node 0 not above the busy ones"),
+    (keep_idle_node_busy, r"idle node \d+ not above the busy ones"),
     (misorder_provisioning, "provisioning nodes out of order"),
     (negative_queue, "negative queue"),
     (negative_pending, "negative pending"),
-    (count_past_the_cohorts, "a cohort counted ready is not ready"),
-    (misorder_nodes, "busy node -1 holds no pods"),
-    (untrack_empty_node, r"busy node \d+ holds no pods"),
+    (misorder_nodes, "busy nodes out of order"),
+    (repeat_busy_node, "busy nodes out of order"),
+    (untrack_empty_node, "busy node count does not fit the replicas"),
     (misorder_idle, "idle nodes out of order"),
     (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
@@ -495,7 +494,7 @@ corruption_params = pytest.mark.parametrize(
 
 
 def message_template(msg):
-    """An assert message with each value it formats in as `{}`."""
+    """A check's message with each value it formats in as `{}`."""
     if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
         return msg.value
     if isinstance(msg, ast.JoinedStr):
@@ -504,18 +503,24 @@ def message_template(msg):
     if (isinstance(msg, ast.Call) and isinstance(msg.func, ast.Attribute)
             and msg.func.attr == "format"):
         return message_template(msg.func.value)
-    raise AssertionError(f"unrecognized assert message: {ast.dump(msg)}")
+    raise AssertionError(f"unrecognized check message: {ast.dump(msg)}")
 
 
 def test_every_invariant_has_a_corruption():
     source = textwrap.dedent(inspect.getsource(Cluster.check_invariants))
-    asserts = [node for node in ast.walk(ast.parse(source))
-               if isinstance(node, ast.Assert)]
-    checked = {message_template(node.msg) for node in asserts}
+    tree = ast.parse(source)
+    # every check raises AssertionError(message) itself; nothing asserts,
+    # so `python -O` strips none of them
+    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    assert all(isinstance(node.exc, ast.Call)
+               and node.exc.func.id == "AssertionError"
+               and len(node.exc.args) == 1 for node in raises)
+    checked = {message_template(node.exc.args[0]) for node in raises}
     # a corruption names a node by its id, or by a pattern for it
-    corrupted = {re.sub(r"-?\d+|\\d\+", "{}", message)
+    corrupted = {re.sub(r"\d+|\\d\+", "{}", message)
                  for _, message in CORRUPTIONS}
-    assert len(checked) == len(asserts)
+    assert len(checked) == len(raises)
     assert checked == corrupted
 
 
@@ -553,3 +558,31 @@ def test_run_reports_each_corruption(monkeypatch, corrupt, message):
     monkeypatch.setattr(Cluster, "step", corrupting_step)
     with pytest.raises(SimulationError, match=rf"t=399: {message}"):
         run(scn, "proposed")
+
+
+def test_optimized_python_still_reports_a_corruption():
+    """`python -O` strips assert statements; the checks must not be ones."""
+    code = textwrap.dedent("""
+        import dataclasses
+        from slosim.runner import SimulationError, run
+        from slosim.scenario import bundled_scenario
+        from slosim.sim import Cluster
+        step = Cluster.step
+        ticks = []
+        def corrupting_step(self, *args):
+            step(self, *args)
+            ticks.append(None)
+            if len(ticks) == 400:
+                self.state.pending_replicas = -1
+        Cluster.step = corrupting_step
+        scn = dataclasses.replace(bundled_scenario("bursty"), horizon=600)
+        try:
+            run(scn, "proposed")
+        except SimulationError as exc:
+            print(exc)
+    """)
+    src = str(Path(slosim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "invariant breach at t=399: negative pending\n"
