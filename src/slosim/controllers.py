@@ -60,8 +60,10 @@ class ControllerConfig:
             raise ValueError("max_replicas must be >= min_replicas")
         if self.control_interval <= 0:
             raise ValueError("control_interval must be > 0")
-        for name in ("scale_up_stabilization", "scale_down_stabilization",
-                     "cooldown_after_scale_up"):
+        for name in ("tolerance_band", "max_step_up", "max_step_down",
+                     "scale_up_stabilization", "scale_down_stabilization",
+                     "cooldown_after_scale_up", "cost_per_replica_hour",
+                     "cost_per_node_hour"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         # each of these divides a demand estimate
@@ -261,15 +263,15 @@ class HpaController:
         self.cpu_target = cpu_target
         self.mu = mu
         self.history = GuardrailState()
-        self.target: int | None = None
         # every CPU metric so far, ascending; kept only for the VPA advisor
         self.usage: list[float] | None = [] if with_vpa else None
 
     def decide(self, s: SignalSnapshot, cluster: ClusterState) -> DecisionRecord:
         cfg = self.cfg
-        if self.target is None:
-            self.target = max(cfg.min_replicas, cluster.total_replicas)
-        current = self.target
+        # the replicas in force, as the Kubernetes HPA reads them from its
+        # scale target: the run loop schedules each target right after its
+        # decision, and before the first the cluster holds `min_replicas`
+        current = cluster.total_replicas + cluster.pending_replicas
         metric = cpu_metric(s, self.mu, cfg.control_interval)
         # a new value lands after equal ones, where a stable sort of the
         # samples in arrival order puts it, so the p90 is unchanged
@@ -284,7 +286,6 @@ class HpaController:
             constraints.append(TOLERANCE_SKIP)
         final, guard = enforce_guardrails(desired, current, cfg, self.history, s.t)
         constraints.extend(guard)
-        self.target = final
         vpa = vpa_recommend(usage) if usage is not None else None
         reason = _describe(final, current, constraints,
                            f"cpu {metric:.2f} vs target {cpu_target:.2f}")
@@ -307,13 +308,10 @@ class SloCostController:
         self.history = GuardrailState()
         self.forecast = ForecastState(alpha=cfg.forecast_alpha,
                                       beta=cfg.forecast_beta)
-        self.target: int | None = None
 
     def decide(self, s: SignalSnapshot, cluster: ClusterState) -> DecisionRecord:
         cfg = self.cfg
-        if self.target is None:
-            self.target = max(cfg.min_replicas, cluster.total_replicas)
-        current = self.target
+        current = cluster.total_replicas + cluster.pending_replicas
 
         # stage 1 is the snapshot itself; fold the observation into the forecast
         self.forecast = forecast_update(self.forecast, s.arrival_rate)
@@ -337,7 +335,6 @@ class SloCostController:
         constraints.extend(guard)
         if final < current:
             constraints.append(COST_FLOOR)  # settling on the cheapest SLO-safe size
-        self.target = final
 
         hint, hint_note = coordinate_actuation(final, cluster,
                                                self.node_capacity)

@@ -8,19 +8,27 @@ Nothing here is random; all variation enters through the workload generator.
 Placement fills active nodes first-fit in id order, scale-down removes the
 newest pods first, and every node has the same number of slots. So the
 occupied slots always form a prefix of the active nodes in id order: the
-busy nodes are the lowest active ids, all of them full but the last, and
-every idle node has a higher id than every busy one. The state keeps only
-what that rule leaves open: the placed pod count, the busy ids in order,
-the idle ids with the time each emptied, and the activation times of the
-nodes still being provisioned. Replicas are cohorts of pods placed at one
-time, and the pods still starting are the cohorts at the tail whose
-`ready_at` is ahead. `Cluster.check_invariants` checks every stored fact on
-every tick; an idle node costs it only its place in two C-level passes.
+busy nodes are the `ceil(total_replicas / node_capacity)` lowest active ids,
+all of them full but the last, and every idle node has a higher id than
+every busy one.
+
+Which idle node fills first needs no ids either. Ids are handed out as
+nodes activate, and an idle node has either held pods and emptied, or held
+none since it activated (fresh). A node empties from the top of the busy
+prefix, so below every idle node, and a node that activates gets a higher
+id than every other. So every emptied id is below every fresh id, emptied
+ids fall in the order the nodes empty, and fresh ids rise with activation
+time: the lowest idle id is the newest emptied node if there is one, and
+else the oldest fresh one. The state keeps only what this leaves open: the
+placed pod count, the number of active nodes, the time each emptied or
+fresh node went idle, and the activation times of the nodes still being
+provisioned. Replicas are cohorts of pods placed at one time, and the pods
+still starting are the cohorts at the tail whose `ready_at` is ahead.
+`Cluster.check_invariants` checks every stored fact on every tick.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,7 +81,7 @@ class ClusterParams:
 
 @dataclass
 class ClusterState:
-    """Everything a tick reads: cohorts, the busy and idle nodes, counters.
+    """Everything a tick reads: cohorts, node counts and idle times, counters.
 
     `replicas` holds cohorts in placement order, newest last, and
     `total_replicas` is the sum of their counts. Pods are placed at the
@@ -82,34 +90,32 @@ class ClusterState:
     still starting are the cohorts at the tail whose `ready_at` is ahead,
     and `ready_replicas` is the total less those.
 
-    Node ids are handed out as nodes activate, and the occupied slots are a
-    prefix of the active nodes in id order (see the module docstring). So
-    `busy` is the `ceil(total_replicas / node_capacity)` lowest active ids,
-    in ascending order, and `idle` maps each other active node to the time
-    it emptied, in that order, all of them above `busy[-1]`; a retired node
-    is deleted from it. `provisioning` holds the activation times of the
-    nodes on their way, in order, and `time` is `ticks` steps of the fixed
-    tick.
+    The occupied slots are a prefix of the active nodes in id order (see
+    the module docstring), so `ceil(total_replicas / node_capacity)` of the
+    `active_nodes` are busy and the rest are idle. `emptied` holds the time
+    each idle node that has held pods emptied, oldest first and so highest
+    id first; the right end fills first. `fresh` holds the activation time
+    of each idle node that has held none, oldest first and so lowest id
+    first; the left end fills first. Both retire from the left, and a
+    retired node is gone for good. `provisioning` holds the activation times
+    of the nodes on their way, in order, and `time` is `ticks` steps of the
+    fixed tick.
     """
 
     # the fixed limits this state evolves under; controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
     ticks: int = 0
-    busy: list[int] = field(default_factory=list)
     replicas: list[Cohort] = field(default_factory=list)
     pending_replicas: int = 0
     queue_depth: float = 0.0
     cumulative_served: float = 0.0
     cumulative_arrived: float = 0.0
     total_replicas: int = field(default=0, init=False)
+    active_nodes: int = field(default=0, init=False)
     provisioning: deque[float] = field(default_factory=deque, init=False)
-    idle: dict[int, float] = field(default_factory=dict, init=False)
-
-    @property
-    def active_nodes(self) -> int:
-        """Busy and empty nodes."""
-        return len(self.busy) + len(self.idle)
+    emptied: deque[float] = field(default_factory=deque, init=False)
+    fresh: deque[float] = field(default_factory=deque, init=False)
 
     @property
     def live_nodes(self) -> int:
@@ -163,21 +169,14 @@ class Cluster:
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
         self.params = params
         self.state = ClusterState(params)
-        self._node_ids = itertools.count()
-        for _ in range(params.initial_nodes):
-            self._activate(0.0)
+        self.state.fresh.extend([0.0] * params.initial_nodes)
+        self.state.active_nodes = params.initial_nodes
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
         self.state.pending_replicas += max(
             0, initial_replicas - self.state.total_replicas)
 
     # -- internal helpers -------------------------------------------------
-
-    def _activate(self, now: float):
-        # initial nodes come first and provisioning is FIFO with a constant
-        # delay, so ids in activation order are ids in request order, and a
-        # new node holds no replicas, so it starts idle
-        self.state.idle[next(self._node_ids)] = now
 
     def _nodes_for(self, pods: int) -> int:
         """How many busy nodes `pods` placed pods fill."""
@@ -189,21 +188,22 @@ class Cluster:
         placed = min(count, s.free_slots)
         if placed <= 0:
             return 0
+        filled = (self._nodes_for(s.total_replicas + placed)
+                  - self._nodes_for(s.total_replicas))
         s.total_replicas += placed
         reps = s.replicas
         if reps and reps[-1].ready_at == ready_at:
             reps[-1].count += placed
         else:
             reps.append(Cohort(ready_at, placed))
-        # the pods fill the last busy node, then the lowest idle ids; the
-        # total only grew, so this count is never negative
-        filled = self._nodes_for(s.total_replicas) - len(s.busy)
-        if filled:
-            idle = s.idle
-            ids = sorted(idle)[:filled]
-            for node_id in ids:
-                del idle[node_id]
-            s.busy += ids
+        # the pods fill the last busy node, then the lowest idle ids: the
+        # newest emptied nodes, then the oldest fresh ones
+        emptied, fresh = s.emptied, s.fresh
+        for _ in range(filled):
+            if emptied:
+                emptied.pop()
+            else:
+                fresh.popleft()
         return placed
 
     def _discharge_pending(self):
@@ -219,6 +219,7 @@ class Cluster:
         drop_pending = min(count, s.pending_replicas)
         s.pending_replicas -= drop_pending
         count -= drop_pending
+        busy = self._nodes_for(s.total_replicas)
         s.total_replicas -= count
         reps = s.replicas
         while count > 0:
@@ -228,12 +229,9 @@ class Cluster:
                 break
             count -= last.count
             reps.pop()
-        # the newest pods sit in the highest slots, so the highest busy nodes
-        # empty, highest id first
-        busy, idle = s.busy, s.idle
-        keep = self._nodes_for(s.total_replicas)
-        while len(busy) > keep:
-            idle[busy.pop()] = s.time
+        # the newest pods sit in the highest slots, so the top busy nodes
+        # empty, each below every node emptied before
+        s.emptied.extend([s.time] * (busy - self._nodes_for(s.total_replicas)))
 
     # -- spec operations --------------------------------------------------
 
@@ -254,7 +252,8 @@ class Cluster:
         provisioning = s.provisioning
         while provisioning and provisioning[0] <= s.time:
             provisioning.popleft()
-            self._activate(s.time)
+            s.fresh.append(s.time)
+            s.active_nodes += 1
         self._discharge_pending()
 
         capacity = s.ready_replicas * model.per_replica_rate * dt
@@ -264,15 +263,14 @@ class Cluster:
         s.cumulative_arrived += arrivals
         s.cumulative_served += served
 
-        # a node re-enters `idle` at the end, so the times never decrease
-        # along it and the first node not timed out ends the search; a
-        # retired node leaves the tables for good
+        # a node joins either deque at the right with the current time, so
+        # the times never decrease along it and the first node not timed out
+        # ends its search
         timeout = self.params.node_idle_timeout
-        while s.idle:
-            node_id, idle_since = next(iter(s.idle.items()))
-            if not s.time - idle_since > timeout:
-                break
-            del s.idle[node_id]
+        for idle in (s.emptied, s.fresh):
+            while idle and s.time - idle[0] > timeout:
+                idle.popleft()
+                s.active_nodes -= 1
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
@@ -299,9 +297,9 @@ class Cluster:
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Check every stored fact; O(cohorts + busy nodes + idle nodes), where
-        the nodes cost only C-level passes. Each check raises AssertionError
-        itself, so that `python -O` keeps it."""
+        """Check every stored fact; O(cohorts + idle nodes), where the nodes
+        cost only C-level passes. Each check raises AssertionError itself, so
+        that `python -O` keeps it."""
         s = self.state
         if not s.queue_depth >= -1e-9:
             raise AssertionError("negative queue")
@@ -324,21 +322,19 @@ class Cluster:
         if s.total_replicas != total:
             raise AssertionError("replica counter drifted")
 
-        # the prefix rule: exactly enough busy nodes for the pods, in id
-        # order, all below every idle node, so none is both busy and idle
-        busy, idle = s.busy, s.idle
-        if len(busy) != self._nodes_for(total):
-            raise AssertionError("busy node count does not fit the replicas")
-        if busy != sorted(set(busy)):
-            raise AssertionError("busy nodes out of order")
-        if busy and idle and busy[-1] >= min(idle):
-            raise AssertionError(
-                "idle node {} not above the busy ones".format(min(idle)))
+        # the prefix rule: every active node is busy, with exactly enough
+        # room for the pods, or idle in exactly one deque
+        emptied, fresh = s.emptied, s.fresh
+        if (self._nodes_for(total) + len(emptied) + len(fresh)
+                != s.active_nodes):
+            raise AssertionError("node count does not fit the busy and idle"
+                                 " nodes")
 
-        # each queue is in the time order its scan relies on
-        idle_since = list(idle.values())
-        if idle_since != sorted(idle_since):
-            raise AssertionError("idle nodes out of order")
+        # each queue is in the time order its scan and the fill order rely on
+        if list(emptied) != sorted(emptied):
+            raise AssertionError("emptied nodes out of order")
+        if list(fresh) != sorted(fresh):
+            raise AssertionError("fresh nodes out of order")
         provisioning = list(s.provisioning)
         if provisioning != sorted(provisioning):
             raise AssertionError("provisioning nodes out of order")

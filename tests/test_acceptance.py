@@ -221,12 +221,13 @@ def test_criterion_5_request_conservation(ops, nodes, capacity, initial):
 def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     cluster, _ = _run_ops(ops, nodes, capacity, initial)
     s = cluster.state
-    # the pods fill the busy nodes, all full but the last, and every idle
-    # node lies above them
+    # the pods fill the busy nodes, all full but the last, and every other
+    # active node is idle in one of the two deques, each in time order
     assert sum(rep.count for rep in s.replicas) == s.total_replicas
-    assert len(s.busy) == math.ceil(s.total_replicas / capacity)
-    assert s.busy == sorted(set(s.busy))
-    assert max(s.busy, default=-1) < min(s.idle, default=math.inf)
+    assert math.ceil(s.total_replicas / capacity) + len(s.emptied) \
+        + len(s.fresh) == s.active_nodes
+    assert list(s.emptied) == sorted(s.emptied)
+    assert list(s.fresh) == sorted(s.fresh)
     assert s.live_nodes <= cluster.params.max_nodes
 
 

@@ -236,6 +236,11 @@ class TestValidateCommand:
         ("controller", "slo_latency_target", 0),
         ("controller", "target_utilization", 0),
         ("controller", "drain_window", 0),
+        ("controller", "max_step_up", -3),      # turned scale-ups into downs
+        ("controller", "max_step_down", -3),
+        ("controller", "tolerance_band", -0.1),
+        ("controller", "cost_per_replica_hour", -0.1),  # a negative cost
+        ("controller", "cost_per_node_hour", -1),
         ("document", "horizon", 0.4),           # under one tick of 0.5
     ])
     def test_values_that_break_a_run_rejected(self, tmp_path, capsys,

@@ -102,6 +102,23 @@ EDGE_GOLDEN = {
 }
 
 
+# bundled `bursty` with six initial nodes and a 30 min idle timeout, seed 1:
+# nodes that held pods and nodes that never did stand idle side by side when
+# a burst fills them, so the fill order between the two kinds is pinned here
+# (the runs above never fill a node while both kinds are idle)
+CHURN_GOLDEN = {
+    "default_hpa": (
+        "942b82f104ea8dbb22f4905ac17683ed981b8473ecd5696076d4e90c0f6427ed",
+        "7135693b991f704f3e4f9fb49653177a3b18437a40c2c451830c71818854fde7"),
+    "tuned_hpa": (
+        "b80e1cee45cb1589c498ee0802ad2543cce7cb5fe7090b5a8f3baedee942cb2c",
+        "fc96648d3f35fadde8f8df0a68e136523aab46d7a36910ef01cff00aa505f912"),
+    "proposed": (
+        "0c78af5608fc19c49f9957640fb6a1078eab00e4b351d8d0d81bb06c99fa2c85",
+        "9094dab11d6fcd88bde6992cfa0b043e59127358ecc838e2103111bd62640d8c"),
+}
+
+
 def _scaled(obj, factor: int, *names: str):
     return dataclasses.replace(
         obj, **{name: getattr(obj, name) * factor for name in names})
@@ -166,4 +183,17 @@ def test_integer_latency_cap_half_second_run_matches_golden_digests(controller):
     assert '"latency": 5, ' in text.partition("\n")[0]
     trace_sha, decisions_sha = EDGE_GOLDEN[controller]
     assert _sha256(text) == trace_sha
+    assert _sha256(trace.decisions_to_jsonl()) == decisions_sha
+
+
+@pytest.mark.parametrize("controller", sorted(CHURN_GOLDEN))
+def test_mixed_idle_fill_run_matches_golden_digests(controller):
+    doc = json.loads((resources.files("slosim") / "scenarios"
+                      / "bursty.json").read_text())
+    doc["seed"] = 1
+    doc["cluster"]["initial_nodes"] = 6
+    doc["cluster"]["node_idle_timeout"] = 1800
+    trace = run(parse_scenario(doc), controller)
+    trace_sha, decisions_sha = CHURN_GOLDEN[controller]
+    assert _sha256(trace.to_jsonl()) == trace_sha
     assert _sha256(trace.decisions_to_jsonl()) == decisions_sha

@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import inspect
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -84,7 +83,7 @@ class TestStep:
         c.step(0, MODEL, 1.0)
         assert c.state.active_nodes == 0
         # a retired node is dropped
-        assert 0 not in c.state.idle and 0 not in c.state.busy
+        assert not c.state.fresh and not c.state.emptied
 
     def test_time_is_a_whole_number_of_ticks(self):
         # a running sum of 0.1 reads 600.0000000000679 after 6000 ticks
@@ -158,7 +157,8 @@ class TestSchedule:
         before = [(r.ready_at, r.count) for r in c.state.replicas]
         c.schedule(4)
         assert [(r.ready_at, r.count) for r in c.state.replicas] == before
-        assert c.state.busy == [0]
+        assert c.state.active_nodes == 2
+        assert list(c.state.fresh) == [0.0] and not c.state.emptied
 
     def test_scale_up_within_free_slots(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
@@ -178,10 +178,10 @@ class TestSchedule:
     def test_scale_down_removes_newest_first(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2)
         c.schedule(4)  # two more, newest land on node 1
-        assert c.state.busy == [0, 1]
+        assert not c.state.fresh and not c.state.emptied
         c.schedule(2)
-        assert c.state.busy == [0]
-        assert c.state.idle == {1: 0.0}
+        assert [(r.ready_at, r.count) for r in c.state.replicas] == [(0.0, 2)]
+        assert list(c.state.emptied) == [0.0]  # node 1
 
     def test_scale_down_drops_pending_before_placed(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=4)
@@ -194,13 +194,12 @@ class TestSchedule:
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert c.state.busy == [0, 1]
-        assert list(c.state.idle) == [2]
+        assert list(c.state.fresh) == [0.0]  # node 2
         c.schedule(8)  # node 1 fills before node 2 takes a pod
-        assert c.state.busy == [0, 1]
+        assert list(c.state.fresh) == [0.0]
         c.schedule(9)
-        assert c.state.busy == [0, 1, 2]
-        assert c.state.idle == {}
+        assert not c.state.fresh and not c.state.emptied
+        assert c.state.free_slots == 3
 
     def test_placements_at_one_time_share_a_cohort(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4, pod_start_delay=5.0)
@@ -210,7 +209,7 @@ class TestSchedule:
         c.schedule(7)
         assert [(r.ready_at, r.count) for r in c.state.replicas] == \
             [(5.0, 6), (6.0, 1)]
-        assert c.state.busy == [0, 1]
+        assert list(c.state.fresh) == [0.0]  # node 2
 
     def test_idle_nodes_fill_in_id_order_not_idle_order(self):
         c = make_cluster(ready=3, nodes=3, node_capacity=1)
@@ -218,25 +217,60 @@ class TestSchedule:
         c.schedule(2)  # node 2 empties at t=1
         c.step(0, MODEL, 1.0)
         c.schedule(1)  # node 1 empties at t=2
-        assert c.state.idle == {2: 1.0, 1: 2.0}
-        c.schedule(2)
-        assert c.state.busy == [0, 1]
-        assert c.state.idle == {2: 1.0}
+        assert list(c.state.emptied) == [1.0, 2.0]  # nodes 2 and 1
+        c.schedule(2)  # node 1, the newest emptied, is the lowest idle id
+        assert list(c.state.emptied) == [1.0]
 
     def test_node_activated_after_a_retirement_fills_last(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2,
                          node_idle_timeout=2.0, node_provision_delay=1.0)
         for _ in range(3):
             c.step(0, MODEL, 1.0)
-        assert c.state.idle == {}  # node 1 retired at t=3
+        assert not c.state.fresh  # node 1 retired at t=3
+        assert c.state.active_nodes == 1
         c.provision_node()
         c.schedule(1)  # node 0 has a free slot
         c.step(0, MODEL, 1.0)
-        assert c.state.idle == {2: 4.0}  # a fresh id, not node 1's
-        c.schedule(4)
-        assert c.state.busy == [0, 2]
+        assert list(c.state.fresh) == [4.0]  # node 2, not node 1 again
+        c.schedule(4)  # node 0's free slot first, then node 2
+        assert not c.state.fresh and c.state.active_nodes == 2
+        assert c.state.free_slots == 0
         assert [(r.ready_at, r.count) for r in c.state.replicas] == \
             [(0.0, 1), (19.0, 3)]
+
+    def test_fresh_nodes_fill_oldest_first(self):
+        c = make_cluster(ready=0, nodes=1, node_capacity=1,
+                         node_provision_delay=1.0)
+        c.provision_node()
+        c.step(0, MODEL, 1.0)
+        assert list(c.state.fresh) == [0.0, 1.0]  # nodes 0 and 1
+        c.schedule(1)  # node 0, the lowest id, has been idle longest
+        assert list(c.state.fresh) == [1.0]
+
+    def test_emptied_node_fills_before_a_longer_idle_fresh_one(self):
+        params = ClusterParams(initial_nodes=3, node_capacity=1,
+                               node_idle_timeout=2.0)
+        c = Cluster(params, initial_replicas=2)
+        ref = ReferenceCluster(params, initial_replicas=2)
+
+        def step():
+            c.step(0, MODEL, 1.0)
+            ref.step(0, MODEL.per_replica_rate, 1.0)
+
+        def schedule(desired):
+            c.schedule(desired)
+            ref.schedule(desired)
+
+        step()
+        schedule(1)  # node 1 empties at t=1; node 2 is idle since t=0
+        schedule(2)  # node 1 fills again, not node 2
+        assert not c.state.emptied and list(c.state.fresh) == [0.0]
+        assert [n.used for n in ref.nodes] == [1, 1, 0]
+        schedule(1)  # node 1 empties again at t=1
+        step()
+        step()  # node 2 times out first, at t=3
+        assert list(c.state.emptied) == [1.0] and not c.state.fresh
+        assert [n.retired for n in ref.nodes] == [False, False, True]
 
 
 class TestProvisionNode:
@@ -337,16 +371,16 @@ def assert_same(cluster, ref, look):
     assert s.live_nodes == ref.live_nodes
     assert s.free_slots == ref.free_slots
     assert s.queue_depth == ref.queue_depth
-    # the reference keeps every node it ever requested, retired ones too;
-    # by the prefix rule every busy node is full but the last
-    active = [n for n in ref.nodes if n.active]
+    # the reference keeps every node it ever requested, retired ones too.
+    # Rebuild each active node's (pods, idle_since) in id order: the busy
+    # nodes, full but the last, then the emptied nodes newest first, then
+    # the fresh ones oldest first
     cap = cluster.params.node_capacity
-    used = [cap] * len(s.busy)
-    if used:
-        used[-1] = s.total_replicas - cap * (len(used) - 1)
-    assert sorted([*zip(s.busy, used), *dict.fromkeys(s.idle, 0).items()]) == \
-        [(n.id, n.used) for n in active]
-    assert s.idle == {n.id: n.idle_since for n in active if n.used == 0}
+    busy, last = divmod(s.total_replicas, cap)
+    nodes = [(cap, None)] * busy + [(last, None)] * (last > 0)
+    nodes += [(0, t) for t in reversed(s.emptied)]
+    nodes += [(0, t) for t in s.fresh]
+    assert nodes == [(n.used, n.idle_since) for n in ref.nodes if n.active]
     cluster.check_invariants()
 
 
@@ -389,17 +423,13 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 
 
 # One corruption per fact check_invariants guards, with the message that
-# names it. Each applies to any state with at least two busy nodes.
-def unused_id(s):
-    return max([*s.busy, *s.idle]) + 1
-
-
+# names it. Each applies to any state, busy nodes or not.
 def used_off_by_one(s):
     s.replicas[-1].count += 1
 
 
 def deactivate_busy_node(s):
-    del s.busy[0]
+    s.active_nodes -= 1
 
 
 def overfill(s):
@@ -423,15 +453,17 @@ def drift_total_replicas(s):
 
 
 def track_busy_node_as_idle(s):
-    s.idle[s.busy[0]] = s.time
+    s.fresh.append(s.time)
 
 
 def keep_idle_node_busy(s):
-    s.idle[s.busy[-1]] = s.time
+    # a node's worth of pods placed without taking a node off idle
+    s.replicas[-1].count += s.params.node_capacity
+    s.total_replicas += s.params.node_capacity
 
 
 def idle_node_with_cohorts(s):
-    s.idle[s.busy.pop()] = s.time
+    s.emptied.append(s.time)
 
 
 def misorder_provisioning(s):
@@ -446,22 +478,18 @@ def negative_pending(s):
     s.pending_replicas = -1
 
 
-def misorder_nodes(s):
-    s.busy.reverse()
-
-
-def repeat_busy_node(s):
-    s.busy[-1] = s.busy[0]
-
-
 def untrack_empty_node(s):
-    s.busy.append(unused_id(s))
+    s.active_nodes += 1
 
 
 def misorder_idle(s):
-    first = unused_id(s)
-    s.idle[first] = s.time
-    s.idle[first + 1] = s.time - 1.0
+    s.emptied.extend((s.time, s.time - 1.0))
+    s.active_nodes += 2
+
+
+def misorder_fresh(s):
+    s.fresh.extend((s.time, s.time - 1.0))
+    s.active_nodes += 2
 
 
 def exceed_max_nodes(s):
@@ -469,41 +497,28 @@ def exceed_max_nodes(s):
     s.provisioning.extend([last] * (s.params.max_nodes - s.live_nodes + 1))
 
 
+NODE_COUNT = "node count does not fit the busy and idle nodes"
 CORRUPTIONS = [
     (used_off_by_one, "replica counter drifted"),
-    (deactivate_busy_node, "busy node count does not fit the replicas"),
-    (idle_node_with_cohorts, "busy node count does not fit the replicas"),
-    (overfill, "busy node count does not fit the replicas"),
+    (deactivate_busy_node, NODE_COUNT),
+    (idle_node_with_cohorts, NODE_COUNT),
+    (overfill, NODE_COUNT),
     (break_conservation, "request conservation violated"),
     (misorder_cohorts, "cohorts out of ready_at order"),
     (add_empty_cohort, "empty cohort"),
     (drift_total_replicas, "replica counter drifted"),
-    (track_busy_node_as_idle, "idle node 0 not above the busy ones"),
-    (keep_idle_node_busy, r"idle node \d+ not above the busy ones"),
+    (track_busy_node_as_idle, NODE_COUNT),
+    (keep_idle_node_busy, NODE_COUNT),
     (misorder_provisioning, "provisioning nodes out of order"),
     (negative_queue, "negative queue"),
     (negative_pending, "negative pending"),
-    (misorder_nodes, "busy nodes out of order"),
-    (repeat_busy_node, "busy nodes out of order"),
-    (untrack_empty_node, "busy node count does not fit the replicas"),
-    (misorder_idle, "idle nodes out of order"),
+    (untrack_empty_node, NODE_COUNT),
+    (misorder_idle, "emptied nodes out of order"),
+    (misorder_fresh, "fresh nodes out of order"),
     (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
 corruption_params = pytest.mark.parametrize(
     "corrupt,message", CORRUPTIONS, ids=[c.__name__ for c, _ in CORRUPTIONS])
-
-
-def message_template(msg):
-    """A check's message with each value it formats in as `{}`."""
-    if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
-        return msg.value
-    if isinstance(msg, ast.JoinedStr):
-        return "".join(part.value if isinstance(part, ast.Constant) else "{}"
-                       for part in msg.values)
-    if (isinstance(msg, ast.Call) and isinstance(msg.func, ast.Attribute)
-            and msg.func.attr == "format"):
-        return message_template(msg.func.value)
-    raise AssertionError(f"unrecognized check message: {ast.dump(msg)}")
 
 
 def test_every_invariant_has_a_corruption():
@@ -515,13 +530,12 @@ def test_every_invariant_has_a_corruption():
     raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
     assert all(isinstance(node.exc, ast.Call)
                and node.exc.func.id == "AssertionError"
-               and len(node.exc.args) == 1 for node in raises)
-    checked = {message_template(node.exc.args[0]) for node in raises}
-    # a corruption names a node by its id, or by a pattern for it
-    corrupted = {re.sub(r"\d+|\\d\+", "{}", message)
-                 for _, message in CORRUPTIONS}
+               and len(node.exc.args) == 1
+               and isinstance(node.exc.args[0], ast.Constant)
+               for node in raises)
+    checked = {node.exc.args[0].value for node in raises}
     assert len(checked) == len(raises)
-    assert checked == corrupted
+    assert checked == {message for _, message in CORRUPTIONS}
 
 
 def healthy_cluster():
