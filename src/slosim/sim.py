@@ -20,10 +20,12 @@ id than every other. So every emptied id is below every fresh id, emptied
 ids fall in the order the nodes empty, and fresh ids rise with activation
 time: the lowest idle id is the newest emptied node if there is one, and
 else the oldest fresh one. The state keeps only what this leaves open: the
-placed pod count, the number of active nodes, the time each emptied or
-fresh node went idle, and the activation times of the nodes still being
-provisioned. Replicas are cohorts of pods placed at one time, and the pods
-still starting are the cohorts at the tail whose `ready_at` is ahead.
+placed pod count, the number of active nodes, the idle-since times of the
+emptied and of the fresh nodes, and the activation times of the nodes still
+being provisioned. Nodes that went idle at one time are interchangeable, so
+each kind of idle node is kept as runs of one idle-since time and a count,
+as replicas are kept as cohorts of pods placed at one time; the pods still
+starting are the cohorts at the tail whose `ready_at` is ahead.
 `Cluster.check_invariants` checks every stored fact on every tick.
 """
 
@@ -60,6 +62,22 @@ class Cohort:
 
 
 @dataclass
+class IdleRun:
+    """An idle run: `count` nodes of one kind that went idle at `since`."""
+
+    since: float
+    count: int = 1
+
+
+def _add_idle(runs: deque[IdleRun], since: float, count: int):
+    """Add `count` nodes idle since `since` at the right end of `runs`."""
+    if runs and runs[-1].since == since:
+        runs[-1].count += count
+    else:
+        runs.append(IdleRun(since, count))
+
+
+@dataclass
 class ClusterParams:
     initial_nodes: int = 2
     node_capacity: int = 8
@@ -92,13 +110,16 @@ class ClusterState:
 
     The occupied slots are a prefix of the active nodes in id order (see
     the module docstring), so `ceil(total_replicas / node_capacity)` of the
-    `active_nodes` are busy and the rest are idle. `emptied` holds the time
-    each idle node that has held pods emptied, oldest first and so highest
-    id first; the right end fills first. `fresh` holds the activation time
-    of each idle node that has held none, oldest first and so lowest id
-    first; the left end fills first. Both retire from the left, and a
-    retired node is gone for good. `provisioning` holds the activation times
-    of the nodes on their way, in order, and `time` is `ticks` steps of the
+    `active_nodes` are busy and the rest are idle, in runs of nodes that
+    went idle at one time. `emptied` holds the runs of idle nodes that have
+    held pods, by the time they emptied, oldest first and so highest id
+    first; the right end fills first. `fresh` holds the runs of idle nodes
+    that have held none, by activation time, oldest first and so lowest id
+    first; the left end fills first. A fill takes whole runs and then part
+    of one. Both retire whole runs from the left, and a retired node is gone
+    for good. Adjacent runs of one deque never share a time, so the times
+    strictly increase along it. `provisioning` holds the activation times of
+    the nodes on their way, in order, and `time` is `ticks` steps of the
     fixed tick.
     """
 
@@ -114,8 +135,8 @@ class ClusterState:
     total_replicas: int = field(default=0, init=False)
     active_nodes: int = field(default=0, init=False)
     provisioning: deque[float] = field(default_factory=deque, init=False)
-    emptied: deque[float] = field(default_factory=deque, init=False)
-    fresh: deque[float] = field(default_factory=deque, init=False)
+    emptied: deque[IdleRun] = field(default_factory=deque, init=False)
+    fresh: deque[IdleRun] = field(default_factory=deque, init=False)
 
     @property
     def live_nodes(self) -> int:
@@ -169,7 +190,8 @@ class Cluster:
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
         self.params = params
         self.state = ClusterState(params)
-        self.state.fresh.extend([0.0] * params.initial_nodes)
+        if params.initial_nodes:
+            self.state.fresh.append(IdleRun(0.0, params.initial_nodes))
         self.state.active_nodes = params.initial_nodes
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
@@ -199,11 +221,16 @@ class Cluster:
         # the pods fill the last busy node, then the lowest idle ids: the
         # newest emptied nodes, then the oldest fresh ones
         emptied, fresh = s.emptied, s.fresh
-        for _ in range(filled):
+        while filled:
             if emptied:
-                emptied.pop()
+                run, drop = emptied[-1], emptied.pop
             else:
-                fresh.popleft()
+                run, drop = fresh[0], fresh.popleft
+            if run.count > filled:
+                run.count -= filled
+                break
+            filled -= run.count
+            drop()
         return placed
 
     def _discharge_pending(self):
@@ -231,7 +258,9 @@ class Cluster:
             reps.pop()
         # the newest pods sit in the highest slots, so the top busy nodes
         # empty, each below every node emptied before
-        s.emptied.extend([s.time] * (busy - self._nodes_for(s.total_replicas)))
+        freed = busy - self._nodes_for(s.total_replicas)
+        if freed:
+            _add_idle(s.emptied, s.time, freed)
 
     # -- spec operations --------------------------------------------------
 
@@ -250,10 +279,13 @@ class Cluster:
         # node_provision_delay is constant, so activation times never
         # decrease along the queue
         provisioning = s.provisioning
+        activated = 0
         while provisioning and provisioning[0] <= s.time:
             provisioning.popleft()
-            s.fresh.append(s.time)
-            s.active_nodes += 1
+            activated += 1
+        if activated:
+            _add_idle(s.fresh, s.time, activated)
+            s.active_nodes += activated
         self._discharge_pending()
 
         capacity = s.ready_replicas * model.per_replica_rate * dt
@@ -263,14 +295,13 @@ class Cluster:
         s.cumulative_arrived += arrivals
         s.cumulative_served += served
 
-        # a node joins either deque at the right with the current time, so
-        # the times never decrease along it and the first node not timed out
-        # ends its search
+        # nodes join either deque at the right with the current time, so
+        # the times increase along it and the first run not timed out ends
+        # its search
         timeout = self.params.node_idle_timeout
         for idle in (s.emptied, s.fresh):
-            while idle and s.time - idle[0] > timeout:
-                idle.popleft()
-                s.active_nodes -= 1
+            while idle and s.time - idle[0].since > timeout:
+                s.active_nodes -= idle.popleft().count
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
@@ -297,9 +328,8 @@ class Cluster:
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Check every stored fact; O(cohorts + idle nodes), where the nodes
-        cost only C-level passes. Each check raises AssertionError itself, so
-        that `python -O` keeps it."""
+        """Check every stored fact; O(cohorts + idle runs). Each check raises
+        AssertionError itself, so that `python -O` keeps it."""
         s = self.state
         if not s.queue_depth >= -1e-9:
             raise AssertionError("negative queue")
@@ -322,19 +352,34 @@ class Cluster:
         if s.total_replicas != total:
             raise AssertionError("replica counter drifted")
 
+        # each deque holds non-empty runs in the strict time order its scan
+        # and the fill order rely on, so no two adjacent runs share a time
+        idle = 0
+        prev_since = -math.inf
+        for run in s.emptied:
+            since, count = run.since, run.count
+            if not count > 0:
+                raise AssertionError("empty emptied run")
+            if not since > prev_since:
+                raise AssertionError("emptied nodes out of order")
+            prev_since = since
+            idle += count
+        prev_since = -math.inf
+        for run in s.fresh:
+            since, count = run.since, run.count
+            if not count > 0:
+                raise AssertionError("empty fresh run")
+            if not since > prev_since:
+                raise AssertionError("fresh nodes out of order")
+            prev_since = since
+            idle += count
+
         # the prefix rule: every active node is busy, with exactly enough
-        # room for the pods, or idle in exactly one deque
-        emptied, fresh = s.emptied, s.fresh
-        if (self._nodes_for(total) + len(emptied) + len(fresh)
-                != s.active_nodes):
+        # room for the pods, or idle in exactly one run
+        if self._nodes_for(total) + idle != s.active_nodes:
             raise AssertionError("node count does not fit the busy and idle"
                                  " nodes")
 
-        # each queue is in the time order its scan and the fill order rely on
-        if list(emptied) != sorted(emptied):
-            raise AssertionError("emptied nodes out of order")
-        if list(fresh) != sorted(fresh):
-            raise AssertionError("fresh nodes out of order")
         provisioning = list(s.provisioning)
         if provisioning != sorted(provisioning):
             raise AssertionError("provisioning nodes out of order")

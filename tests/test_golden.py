@@ -71,12 +71,17 @@ NOISY_GOLDEN = {
 # bundled `bursty` with load and fleet limits x100, as the fleet_x100
 # benchmark runs it: 200 to 432 active nodes, and `default_hpa` retires 32
 # of them at once, so first-fit placement and retirement are pinned at the
-# scale the bundled runs never reach (they stay under 20 nodes)
+# scale the bundled runs never reach (they stay under 20 nodes). `tuned_hpa`
+# fills part of a run of emptied nodes 91 times and part of a run of fresh
+# nodes 38 times, and once retires several fresh nodes in one step
 FLEET_FACTOR = 100
 FLEET_GOLDEN = {
     "default_hpa": (
         "9006e8b65966ef31071b7bdca63ed04dd84cc908eaf73b2af0014c936c9f74ab",
         "7cd24412317f22450d3c0c255ae155a415ecf35202d8267f37764cc19fcc3274"),
+    "tuned_hpa": (
+        "2ab9e481619437fcb450c6b7c343d2369b7cc5f1a380137073789688a5f3c25e",
+        "397020a13e1715d15ad66d752753c7c408622a5118e583e96645898e8f449e0e"),
     "proposed": (
         "820e70947afa5ac1ffd7cb3d4d98086770a93ff4507cd32ae390074abded9061",
         "3d20322e1763f722bdacafd9733709eb55e9725933a707e7782a347a384411e5"),
@@ -116,6 +121,23 @@ CHURN_GOLDEN = {
     "proposed": (
         "0c78af5608fc19c49f9957640fb6a1078eab00e4b351d8d0d81bb06c99fa2c85",
         "9094dab11d6fcd88bde6992cfa0b043e59127358ecc838e2103111bd62640d8c"),
+}
+
+
+# bundled `bursty` with two-slot nodes, a 5 s idle timeout, a 5 s provision
+# delay and noise_std 0.3, seed 3: nodes empty and retire within seconds, so
+# several nodes that emptied at one time retire in one step (5, 7 and 16
+# times for the three controllers)
+RETIRE_GOLDEN = {
+    "default_hpa": (
+        "75eaddf4ba0422effc06e9a134e5a482955a7746a82bbfe1f69224881e4beb39",
+        "16f78a26adc6e2a15b1a82232e6405bb0892213a03f72704f2370b55baec8a2d"),
+    "tuned_hpa": (
+        "887db58e3bec9f93de06ef8640b19c06a1d3da550bcbc22b4aae959e9485b7d2",
+        "041df20e79114d2ac4a3b45946c9bcb36421dde086a821939e177102870e6a77"),
+    "proposed": (
+        "64fb736d83a3d5b213ee561fa1047cb185c9aafae2f6c099bd84e07c969e77ec",
+        "eab371f9aeb6eb87647e85eb1f021a1c560180e484c45b045295499eaef83a72"),
 }
 
 
@@ -195,5 +217,20 @@ def test_mixed_idle_fill_run_matches_golden_digests(controller):
     doc["cluster"]["node_idle_timeout"] = 1800
     trace = run(parse_scenario(doc), controller)
     trace_sha, decisions_sha = CHURN_GOLDEN[controller]
+    assert _sha256(trace.to_jsonl()) == trace_sha
+    assert _sha256(trace.decisions_to_jsonl()) == decisions_sha
+
+
+@pytest.mark.parametrize("controller", sorted(RETIRE_GOLDEN))
+def test_fast_retirement_run_matches_golden_digests(controller):
+    doc = json.loads((resources.files("slosim") / "scenarios"
+                      / "bursty.json").read_text())
+    doc["seed"] = 3
+    doc["cluster"]["node_capacity"] = 2
+    doc["cluster"]["node_idle_timeout"] = 5
+    doc["cluster"]["node_provision_delay"] = 5
+    doc["workload"]["noise_std"] = 0.3
+    trace = run(parse_scenario(doc), controller)
+    trace_sha, decisions_sha = RETIRE_GOLDEN[controller]
     assert _sha256(trace.to_jsonl()) == trace_sha
     assert _sha256(trace.decisions_to_jsonl()) == decisions_sha

@@ -20,6 +20,7 @@ from slosim.sim import (
     Cluster,
     ClusterParams,
     Cohort,
+    IdleRun,
     ServiceModel,
     observe_latency,
 )
@@ -27,6 +28,11 @@ from slosim.sim import (
 from helpers import ReferenceCluster, make_cluster, state_with
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
+
+
+def runs(idle):
+    """An idle deque as (since, count) pairs, left to right."""
+    return [(run.since, run.count) for run in idle]
 
 
 class TestServiceModel:
@@ -158,7 +164,7 @@ class TestSchedule:
         c.schedule(4)
         assert [(r.ready_at, r.count) for r in c.state.replicas] == before
         assert c.state.active_nodes == 2
-        assert list(c.state.fresh) == [0.0] and not c.state.emptied
+        assert runs(c.state.fresh) == [(0.0, 1)] and not c.state.emptied
 
     def test_scale_up_within_free_slots(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
@@ -181,7 +187,7 @@ class TestSchedule:
         assert not c.state.fresh and not c.state.emptied
         c.schedule(2)
         assert [(r.ready_at, r.count) for r in c.state.replicas] == [(0.0, 2)]
-        assert list(c.state.emptied) == [0.0]  # node 1
+        assert runs(c.state.emptied) == [(0.0, 1)]  # node 1
 
     def test_scale_down_drops_pending_before_placed(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=4)
@@ -194,9 +200,9 @@ class TestSchedule:
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert list(c.state.fresh) == [0.0]  # node 2
+        assert runs(c.state.fresh) == [(0.0, 1)]  # node 2
         c.schedule(8)  # node 1 fills before node 2 takes a pod
-        assert list(c.state.fresh) == [0.0]
+        assert runs(c.state.fresh) == [(0.0, 1)]
         c.schedule(9)
         assert not c.state.fresh and not c.state.emptied
         assert c.state.free_slots == 3
@@ -209,7 +215,7 @@ class TestSchedule:
         c.schedule(7)
         assert [(r.ready_at, r.count) for r in c.state.replicas] == \
             [(5.0, 6), (6.0, 1)]
-        assert list(c.state.fresh) == [0.0]  # node 2
+        assert runs(c.state.fresh) == [(0.0, 1)]  # node 2
 
     def test_idle_nodes_fill_in_id_order_not_idle_order(self):
         c = make_cluster(ready=3, nodes=3, node_capacity=1)
@@ -217,9 +223,9 @@ class TestSchedule:
         c.schedule(2)  # node 2 empties at t=1
         c.step(0, MODEL, 1.0)
         c.schedule(1)  # node 1 empties at t=2
-        assert list(c.state.emptied) == [1.0, 2.0]  # nodes 2 and 1
+        assert runs(c.state.emptied) == [(1.0, 1), (2.0, 1)]  # nodes 2, 1
         c.schedule(2)  # node 1, the newest emptied, is the lowest idle id
-        assert list(c.state.emptied) == [1.0]
+        assert runs(c.state.emptied) == [(1.0, 1)]
 
     def test_node_activated_after_a_retirement_fills_last(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2,
@@ -231,7 +237,7 @@ class TestSchedule:
         c.provision_node()
         c.schedule(1)  # node 0 has a free slot
         c.step(0, MODEL, 1.0)
-        assert list(c.state.fresh) == [4.0]  # node 2, not node 1 again
+        assert runs(c.state.fresh) == [(4.0, 1)]  # node 2, not node 1 again
         c.schedule(4)  # node 0's free slot first, then node 2
         assert not c.state.fresh and c.state.active_nodes == 2
         assert c.state.free_slots == 0
@@ -243,9 +249,9 @@ class TestSchedule:
                          node_provision_delay=1.0)
         c.provision_node()
         c.step(0, MODEL, 1.0)
-        assert list(c.state.fresh) == [0.0, 1.0]  # nodes 0 and 1
+        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 1)]  # nodes 0 and 1
         c.schedule(1)  # node 0, the lowest id, has been idle longest
-        assert list(c.state.fresh) == [1.0]
+        assert runs(c.state.fresh) == [(1.0, 1)]
 
     def test_emptied_node_fills_before_a_longer_idle_fresh_one(self):
         params = ClusterParams(initial_nodes=3, node_capacity=1,
@@ -264,13 +270,93 @@ class TestSchedule:
         step()
         schedule(1)  # node 1 empties at t=1; node 2 is idle since t=0
         schedule(2)  # node 1 fills again, not node 2
-        assert not c.state.emptied and list(c.state.fresh) == [0.0]
+        assert not c.state.emptied and runs(c.state.fresh) == [(0.0, 1)]
         assert [n.used for n in ref.nodes] == [1, 1, 0]
         schedule(1)  # node 1 empties again at t=1
         step()
         step()  # node 2 times out first, at t=3
-        assert list(c.state.emptied) == [1.0] and not c.state.fresh
+        assert runs(c.state.emptied) == [(1.0, 1)] and not c.state.fresh
         assert [n.retired for n in ref.nodes] == [False, False, True]
+
+
+class TestIdleRuns:
+    """Idle nodes that went idle at one time are stored as one run."""
+
+    def test_fill_takes_part_of_a_run(self):
+        params = ClusterParams(initial_nodes=3, node_capacity=1,
+                               node_provision_delay=1.0)
+        c = Cluster(params)
+        ref = ReferenceCluster(params)
+
+        def step():
+            c.step(0, MODEL, 1.0)
+            ref.step(0, MODEL.per_replica_rate, 1.0)
+
+        def schedule(desired):
+            c.schedule(desired)
+            ref.schedule(desired)
+
+        assert c.provision_node() and ref.provision_node()
+        assert c.provision_node() and ref.provision_node()
+        step()
+        assert runs(c.state.fresh) == [(0.0, 3), (1.0, 2)]
+        schedule(2)  # nodes 0 and 1, two of the oldest fresh run
+        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 2)]
+        schedule(4)  # node 2, then node 3 of the next run
+        assert runs(c.state.fresh) == [(1.0, 1)]
+        step()
+        schedule(3)  # node 3 empties at t=2
+        step()
+        schedule(1)  # nodes 2 and 1 empty at t=3
+        assert runs(c.state.emptied) == [(2.0, 1), (3.0, 2)]
+        schedule(2)  # node 1, one of the newest emptied run
+        assert runs(c.state.emptied) == [(2.0, 1), (3.0, 1)]
+        assert_same(c, ref, look=True)
+
+    def test_one_fill_spans_two_emptied_runs_then_a_fresh_run(self):
+        params = ClusterParams(initial_nodes=5, node_capacity=1)
+        c = Cluster(params, initial_replicas=3)
+        ref = ReferenceCluster(params, initial_replicas=3)
+        for desired in (2, 1):
+            c.step(0, MODEL, 1.0)
+            ref.step(0, MODEL.per_replica_rate, 1.0)
+            c.schedule(desired)
+            ref.schedule(desired)
+        assert runs(c.state.emptied) == [(1.0, 1), (2.0, 1)]
+        assert runs(c.state.fresh) == [(0.0, 2)]
+        c.schedule(4)  # nodes 1 and 2, then the lower fresh node 3
+        ref.schedule(4)
+        assert not c.state.emptied and runs(c.state.fresh) == [(0.0, 1)]
+        assert_same(c, ref, look=True)
+
+    def test_run_of_k_nodes_retires_in_one_step(self):
+        c = make_cluster(ready=4, nodes=4, node_capacity=1,
+                         node_idle_timeout=2.0)
+        c.step(0, MODEL, 1.0)
+        c.schedule(0)
+        assert runs(c.state.emptied) == [(1.0, 4)]
+        c.step(0, MODEL, 1.0)
+        c.step(0, MODEL, 1.0)
+        assert c.state.active_nodes == 4
+        c.step(0, MODEL, 1.0)  # idle for 3 s > 2 s
+        assert c.state.active_nodes == 0 and not c.state.emptied
+        c.check_invariants()
+
+    def test_activations_in_one_tick_merge_into_one_fresh_run(self):
+        c = make_cluster(ready=0, nodes=1, node_provision_delay=1.0)
+        assert c.provision_node() and c.provision_node()
+        c.step(0, MODEL, 1.0)
+        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 2)]
+        assert c.state.active_nodes == 3
+        c.check_invariants()
+
+    def test_scale_downs_at_one_time_merge_into_one_emptied_run(self):
+        c = make_cluster(ready=4, nodes=4, node_capacity=1)
+        c.step(0, MODEL, 1.0)
+        c.schedule(3)
+        c.schedule(1)
+        assert runs(c.state.emptied) == [(1.0, 3)]
+        c.check_invariants()
 
 
 class TestProvisionNode:
@@ -304,7 +390,7 @@ class TestProvisionNode:
 op_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 40)),
-        st.tuples(st.just("provision"), st.just(0)),
+        st.tuples(st.just("provision"), st.integers(1, 3)),
         st.tuples(st.just("step"), st.integers(0, 400)),
     ),
     min_size=1, max_size=14,
@@ -330,7 +416,8 @@ def test_random_operations_keep_cluster_sound(ops, nodes, capacity, max_nodes,
         if op == "schedule":
             cluster.schedule(arg)
         elif op == "provision":
-            cluster.provision_node()
+            for _ in range(arg):
+                cluster.provision_node()
         else:
             cluster.step(arg, MODEL, 1.0)
             # backlog conservation holds at every tick boundary
@@ -352,7 +439,8 @@ diff_ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 30), st.just(0),
                   st.booleans()),
-        st.tuples(st.just("provision"), st.just(0), st.just(0), st.booleans()),
+        st.tuples(st.just("provision"), st.integers(1, 3), st.just(0),
+                  st.booleans()),
         st.tuples(st.just("step"), st.integers(1, 30), st.integers(0, 200),
                   st.booleans()),
     ),
@@ -374,12 +462,13 @@ def assert_same(cluster, ref, look):
     # the reference keeps every node it ever requested, retired ones too.
     # Rebuild each active node's (pods, idle_since) in id order: the busy
     # nodes, full but the last, then the emptied nodes newest first, then
-    # the fresh ones oldest first
+    # the fresh ones oldest first, each run expanded into its nodes
     cap = cluster.params.node_capacity
     busy, last = divmod(s.total_replicas, cap)
     nodes = [(cap, None)] * busy + [(last, None)] * (last > 0)
-    nodes += [(0, t) for t in reversed(s.emptied)]
-    nodes += [(0, t) for t in s.fresh]
+    nodes += [(0, run.since) for run in reversed(s.emptied)
+              for _ in range(run.count)]
+    nodes += [(0, run.since) for run in s.fresh for _ in range(run.count)]
     assert nodes == [(n.used, n.idle_since) for n in ref.nodes if n.active]
     cluster.check_invariants()
 
@@ -412,7 +501,8 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
             cluster.schedule(arg)
             ref.schedule(arg)
         elif op == "provision":
-            assert cluster.provision_node() == ref.provision_node()
+            for _ in range(arg):
+                assert cluster.provision_node() == ref.provision_node()
         else:
             for _ in range(arg):
                 cluster.step(arrivals, MODEL, dt)
@@ -424,6 +514,15 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 
 # One corruption per fact check_invariants guards, with the message that
 # names it. Each applies to any state, busy nodes or not.
+def add_idle_node(idle, since):
+    """One more node idle since `since` at the right of `idle`, merged into
+    the last run as the cluster merges it."""
+    if idle and idle[-1].since == since:
+        idle[-1].count += 1
+    else:
+        idle.append(IdleRun(since))
+
+
 def used_off_by_one(s):
     s.replicas[-1].count += 1
 
@@ -453,7 +552,7 @@ def drift_total_replicas(s):
 
 
 def track_busy_node_as_idle(s):
-    s.fresh.append(s.time)
+    add_idle_node(s.fresh, s.time)
 
 
 def keep_idle_node_busy(s):
@@ -463,7 +562,7 @@ def keep_idle_node_busy(s):
 
 
 def idle_node_with_cohorts(s):
-    s.emptied.append(s.time)
+    add_idle_node(s.emptied, s.time)
 
 
 def misorder_provisioning(s):
@@ -483,13 +582,27 @@ def untrack_empty_node(s):
 
 
 def misorder_idle(s):
-    s.emptied.extend((s.time, s.time - 1.0))
+    s.emptied.extend((IdleRun(s.time), IdleRun(s.time - 1.0)))
     s.active_nodes += 2
 
 
 def misorder_fresh(s):
-    s.fresh.extend((s.time, s.time - 1.0))
+    s.fresh.extend((IdleRun(s.time), IdleRun(s.time - 1.0)))
     s.active_nodes += 2
+
+
+def split_idle_run(s):
+    # two adjacent runs with one time: the count fits, the merge is missing
+    s.emptied.extend((IdleRun(s.time), IdleRun(s.time)))
+    s.active_nodes += 2
+
+
+def empty_emptied_run(s):
+    s.emptied.append(IdleRun(s.time, count=0))
+
+
+def empty_fresh_run(s):
+    s.fresh.append(IdleRun(s.time, count=0))
 
 
 def exceed_max_nodes(s):
@@ -515,6 +628,9 @@ CORRUPTIONS = [
     (untrack_empty_node, NODE_COUNT),
     (misorder_idle, "emptied nodes out of order"),
     (misorder_fresh, "fresh nodes out of order"),
+    (split_idle_run, "emptied nodes out of order"),
+    (empty_emptied_run, "empty emptied run"),
+    (empty_fresh_run, "empty fresh run"),
     (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
 corruption_params = pytest.mark.parametrize(
