@@ -56,7 +56,7 @@ def run_experiment(scn: ScenarioConfig, outdir: Path,
 def _cmd_run(args) -> int:
     try:
         scn = load_scenario(args.scenario)
-        if args.controllers:
+        if args.controllers is not None:
             kinds = tuple(args.controllers.split(","))
             scn = dataclasses.replace(scn, controllers=kinds)
         if args.seed is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from . import workload
 from .controllers import DecisionRecord, make_controller
 from .scenario import ScenarioConfig
-from .signals import sample
+from .signals import SignalSnapshot, sample
 from .sim import Cluster
 
 # how long pending replicas must persist before the simulated node autoscaler
@@ -180,18 +180,27 @@ def run(scn: ScenarioConfig, controller_kind: str,
     prev_latency: float | None = None
     pending_since: float | None = None
 
+    state = cluster.state
     for k in range(n_ticks):
         t = k * scn.tick
         arrivals = workload.arrivals_at(scn.workload, seed, t, scn.tick)
-        cluster.step(arrivals, scn.service, scn.tick)
+        ready = cluster.step(arrivals, scn.service, scn.tick)
         rate = arrivals / scn.tick
-        snap = sample(cluster.state, rate, scn.service, prev_latency)
-        prev_latency = snap.latency
+        latency, util = sample(ready, state.queue_depth, rate, scn.service,
+                               prev_latency)
+        prev_latency = latency
 
         rec = None
         if (k + 1) % interval_ticks == 0:
-            rec = controller.decide(snap, cluster.state)
+            snap = SignalSnapshot(
+                t=state.time, latency=latency, queue=state.queue_depth,
+                utilization=util, pending=state.pending_replicas,
+                arrival_rate=rate, ready_replicas=ready)
+            rec = controller.decide(snap, state)
             cluster.schedule(rec.action.target_replicas)
+            # schedule is the only call in a tick that places or removes
+            # pods, so the count `step` returned is read again only here
+            ready = state.ready_replicas
             if rec.action.node_capacity_hint:
                 wanted = math.ceil(rec.action.node_capacity_hint
                                    / scn.cluster.node_capacity)
@@ -199,12 +208,12 @@ def run(scn: ScenarioConfig, controller_kind: str,
 
         if not controller.emits_node_hints:
             # simulated cluster autoscaler: react to persistent pending pods
-            now = cluster.state.time
-            if cluster.state.pending_replicas > 0:
+            now = state.time
+            if state.pending_replicas > 0:
                 if pending_since is None:
                     pending_since = now
                 elif now - pending_since >= PENDING_TRIGGER_DELAY:
-                    wanted = math.ceil(cluster.state.pending_replicas
+                    wanted = math.ceil(state.pending_replicas
                                        / scn.cluster.node_capacity)
                     _provision_nodes(cluster, wanted)
                     pending_since = now
@@ -216,10 +225,8 @@ def run(scn: ScenarioConfig, controller_kind: str,
         except AssertionError as exc:
             raise SimulationError(f"invariant breach at t={t}: {exc}") from exc
 
-        s = cluster.state
-        ready = s.ready_replicas
-        trace.append(arrivals, ready, s.total_replicas - ready,
-                     s.pending_replicas, s.active_nodes, s.queue_depth,
-                     snap.latency, snap.utilization, rec)
+        trace.append(arrivals, ready, state.total_replicas - ready,
+                     state.pending_replicas, state.active_nodes,
+                     state.queue_depth, latency, util, rec)
 
     return trace

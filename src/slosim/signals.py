@@ -1,11 +1,16 @@
-"""Controller-facing telemetry: the (latency, queue, utilization, pending)
-snapshot plus Holt linear demand forecasting."""
+"""Controller-facing telemetry: the per-tick latency and utilization
+sample, the (latency, queue, utilization, pending) snapshot a controller
+decides on, and Holt linear demand forecasting.
+
+`sample` runs on every tick and returns plain floats. The run loop builds a
+`SignalSnapshot` from them only on the ticks where a controller decides.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .sim import ClusterState, ServiceModel, observe_latency
+from .sim import ServiceModel, observe_latency
 
 UTILIZATION_CAP = 1e6  # stands in for infinity when no replica is ready
 LATENCY_SMOOTHING = 0.5  # EWMA weight of the newest latency observation
@@ -28,25 +33,19 @@ def utilization(arrival_rate: float, ready_replicas: int, mu: float) -> float:
     return arrival_rate / (ready_replicas * mu)
 
 
-def sample(cluster: ClusterState, arrival_rate: float, model: ServiceModel,
-           prev_latency: float | None = None) -> SignalSnapshot:
-    """Build a snapshot, EWMA-smoothing latency against the previous sample."""
-    raw = observe_latency(cluster, arrival_rate, model)
+def sample(ready: int, queue_depth: float, arrival_rate: float,
+           model: ServiceModel,
+           prev_latency: float | None = None) -> tuple[float, float]:
+    """The tick's (latency, utilization) for `ready` ready pods and a
+    `queue_depth` backlog, EWMA-smoothing latency against the previous
+    sample."""
+    raw = observe_latency(ready, queue_depth, arrival_rate, model)
     if prev_latency is None:
         lat = raw
     else:
         w = LATENCY_SMOOTHING
         lat = w * raw + (1.0 - w) * prev_latency
-    ready = cluster.ready_replicas
-    return SignalSnapshot(
-        t=cluster.time,
-        latency=lat,
-        queue=cluster.queue_depth,
-        utilization=utilization(arrival_rate, ready, model.per_replica_rate),
-        pending=cluster.pending_replicas,
-        arrival_rate=arrival_rate,
-        ready_replicas=ready,
-    )
+    return lat, utilization(arrival_rate, ready, model.per_replica_rate)
 
 
 @dataclass(frozen=True)

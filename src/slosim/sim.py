@@ -27,6 +27,11 @@ each kind of idle node is kept as runs of one idle-since time and a count,
 as replicas are kept as cohorts of pods placed at one time; the pods still
 starting are the cohorts at the tail whose `ready_at` is ahead.
 `Cluster.check_invariants` checks every stored fact on every tick.
+
+Counting the ready pods walks the starting cohorts, so a tick does it once:
+`Cluster.step` returns the count it served with, and `observe_latency` is a
+pure function of that count and the backlog. Within a tick only `schedule`
+changes the count.
 """
 
 from __future__ import annotations
@@ -159,25 +164,26 @@ class ClusterState:
         return ready
 
 
-def observe_latency(state: ClusterState, arrival_rate: float,
+def observe_latency(ready: int, queue_depth: float, arrival_rate: float,
                     model: ServiceModel) -> float:
-    """Analytic latency for the current load, saturating at latency_cap.
+    """Analytic latency of `ready` ready pods serving `arrival_rate` with a
+    `queue_depth` backlog, saturating at latency_cap.
 
     Below saturation this is the M/M/c-style 1/(1-rho) blowup plus the time
     to work off the existing backlog; at or past saturation the backlog term
-    dominates and the base curve is dropped.
+    dominates and the base curve is dropped. It reads no cluster state, so
+    the caller passes the count `Cluster.step` served with.
     """
     if arrival_rate < 0:
         raise ValueError("arrival_rate must be >= 0")
-    n = state.ready_replicas
-    if n == 0:
+    if ready == 0:
         return model.latency_cap
-    capacity = n * model.per_replica_rate
+    capacity = ready * model.per_replica_rate
     rho = arrival_rate / capacity
     if rho < 1.0:
-        lat = model.base_latency / (1.0 - rho) + state.queue_depth / capacity
+        lat = model.base_latency / (1.0 - rho) + queue_depth / capacity
     else:
-        lat = model.base_latency + (state.queue_depth + 1.0) / capacity
+        lat = model.base_latency + (queue_depth + 1.0) / capacity
     return min(model.latency_cap, lat)
 
 
@@ -264,9 +270,16 @@ class Cluster:
 
     # -- spec operations --------------------------------------------------
 
-    def step(self, arrivals: float, model: ServiceModel, dt: float):
-        """Advance one tick of the run's fixed `dt`: activate hardware,
-        serve, discharge backlog."""
+    def step(self, arrivals: float, model: ServiceModel, dt: float) -> int:
+        """Advance one tick of the run's fixed `dt` and return the number of
+        ready pods it served with.
+
+        In order: activate the nodes whose provisioning is done, place
+        pending pods, serve the backlog and `arrivals` with the ready pods,
+        and retire the idle nodes that timed out. Retiring touches no pod,
+        so the count still holds when `step` returns; before the next
+        `step`, only `schedule` changes it.
+        """
         if dt <= 0:
             raise ValueError("dt must be > 0")
         if not math.isfinite(arrivals) or arrivals < 0:
@@ -288,7 +301,8 @@ class Cluster:
             s.active_nodes += activated
         self._discharge_pending()
 
-        capacity = s.ready_replicas * model.per_replica_rate * dt
+        ready = s.ready_replicas
+        capacity = ready * model.per_replica_rate * dt
         offered = s.queue_depth + arrivals
         served = min(offered, capacity)
         s.queue_depth = offered - served
@@ -302,6 +316,7 @@ class Cluster:
         for idle in (s.emptied, s.fresh):
             while idle and s.time - idle[0].since > timeout:
                 s.active_nodes -= idle.popleft().count
+        return ready
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""

@@ -26,7 +26,7 @@ from slosim.runner import RunTrace, run
 from slosim.signals import ForecastState, SignalSnapshot, forecast_horizon, forecast_update
 from slosim.sim import Cluster, ClusterParams, ServiceModel, observe_latency
 
-from helpers import make_decision, state_with
+from helpers import make_decision
 
 SUITE = settings(max_examples=1000, deadline=None,
                  suppress_health_check=[HealthCheck.too_slow,
@@ -352,7 +352,7 @@ def test_criterion_6_latency_closed_form_oracle():
     mu = 10.0
     for rate, ready, queue, base, cap, expected in LATENCY_CASES:
         model = ServiceModel(mu, base, cap)
-        got = observe_latency(state_with(ready, queue), rate, model)
+        got = observe_latency(ready, queue, rate, model)
         assert abs(got - expected) < 1e-9, (rate, ready, queue, got, expected)
     gate("criterion 6 (latency closed-form oracle)", True,
          f"{len(LATENCY_CASES)} hand-evaluated cases match")

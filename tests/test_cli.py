@@ -467,6 +467,16 @@ class TestRunCommand:
         assert "controllers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_controllers_flag_exits_config_error(self, tmp_path,
+                                                       capsys):
+        path = write_scenario(tmp_path, QUICK)
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out", str(out),
+                     "--controllers", "", "--quiet"])
+        assert code == EXIT_CONFIG
+        assert "controllers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_seed_flag_exits_config_error(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)
         out = tmp_path / "out"

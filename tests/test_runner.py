@@ -1,15 +1,18 @@
 """The run loop's trace: its columns, its row view, its writers, and the
 node requests it makes."""
 
+import contextlib
 import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slosim import runner
-from slosim.controllers import DecisionRecord, ScalingAction
+from slosim.controllers import (DecisionRecord, HpaController, ScalingAction,
+                                SloCostController)
 from slosim.runner import RunTrace, TraceRows, run
 from slosim.scenario import bundled_scenario, parse_scenario
 from slosim.signals import SignalSnapshot
@@ -179,3 +182,110 @@ class TestProvisionNodes:
         run(scn, "default_hpa")
         assert max(wanted) > 1
         assert refused == [True] * len(wanted)
+
+
+@contextlib.contextmanager
+def recorded_walks():
+    """Record what a fresh `ClusterState.ready_replicas` walk reads where
+    each controller decides and where each tick's invariants are checked.
+
+    Yields two lists. `at_decide` gets (time, ready, queue, pending) of the
+    state a controller is handed; `at_check` gets (ready, placed) of the
+    state the tick's trace row is written from.
+    """
+    at_decide, at_check = [], []
+    check = Cluster.check_invariants
+
+    def checked(self):
+        at_check.append((self.state.ready_replicas, self.state.total_replicas))
+        return check(self)
+
+    def recording(decide):
+        def decided(self, snap, state):
+            at_decide.append((state.time, state.ready_replicas,
+                              state.queue_depth, state.pending_replicas))
+            return decide(self, snap, state)
+        return decided
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(Cluster, "check_invariants",
+                                              checked))
+        for cls in (HpaController, SloCostController):
+            stack.enter_context(mock.patch.object(cls, "decide",
+                                                  recording(cls.decide)))
+        yield at_decide, at_check
+
+
+class TestReadyCount:
+    """`step` returns the ready count a tick serves with; the run loop reads
+    it again only after `schedule`, the one call that places or removes pods
+    within a tick."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(name=st.sampled_from(["bursty", "mixed", "queue_driven"]),
+           pod_start_delay=st.sampled_from([0, 0, 5]),
+           node_capacity=st.sampled_from([2, 8]),
+           initial_nodes=st.sampled_from([0, 2]),
+           scale_down_stabilization=st.sampled_from([0, 120]),
+           noise_std=st.sampled_from([0, 0.3]),
+           seed=st.integers(0, 2**31 - 1))
+    @example(name="bursty", pod_start_delay=0, node_capacity=8,
+             initial_nodes=2, scale_down_stabilization=0, noise_std=0,
+             seed=42)
+    def test_recorded_ready_counts_match_a_fresh_walk(
+            self, name, pod_start_delay, node_capacity, initial_nodes,
+            scale_down_stabilization, noise_std, seed):
+        doc = bundled_doc(name)
+        doc.update(horizon=1200, seed=seed,
+                   controllers=["default_hpa", "proposed"])
+        doc["workload"]["noise_std"] = noise_std
+        doc["cluster"].update(pod_start_delay=pod_start_delay,
+                              node_capacity=node_capacity,
+                              initial_nodes=initial_nodes)
+        doc["controller"]["scale_down_stabilization"] = \
+            scale_down_stabilization
+        scn = parse_scenario(doc)
+        for kind in scn.controllers:
+            with recorded_walks() as (at_decide, at_check):
+                trace = run(scn, kind)
+            assert trace.ready == [ready for ready, _ in at_check]
+            assert trace.starting == [placed - ready
+                                      for ready, placed in at_check]
+            assert [rec.snapshot.ready_replicas for rec in trace.decisions] \
+                == [ready for _, ready, _, _ in at_decide]
+
+
+class TestDecisionSnapshot:
+    def test_snapshot_carries_the_state_the_controller_decides_on(
+            self, scenarios):
+        scn = scenarios["bursty"]
+        for kind in ("default_hpa", "proposed"):
+            with recorded_walks() as (at_decide, _):
+                trace = run(scn, kind)
+            assert len(at_decide) == len(trace.decisions) > 0
+            for k, rec, (t, ready, queue, pending) in zip(
+                    trace.decision_rows, trace.decisions, at_decide):
+                snap = rec.snapshot
+                assert (snap.t, snap.ready_replicas, snap.queue,
+                        snap.pending) == (t, ready, queue, pending)
+                # the row holds the same tick's sample; schedule moves no
+                # request, so the row's queue is the snapshot's
+                assert (snap.latency, snap.utilization, snap.queue) == (
+                    trace.latency[k], trace.utilization[k], trace.queue[k])
+                assert snap.arrival_rate == trace.arrivals[k] / scn.tick
+
+    def test_idle_cluster_snapshot(self):
+        doc = bundled_doc("bursty")
+        doc.update(horizon=60, controllers=["default_hpa", "proposed"])
+        doc["workload"]["base_rate"] = 0
+        scn = parse_scenario(doc)
+        for kind in scn.controllers:
+            trace = run(scn, kind)
+            assert trace.decisions
+            for rec in trace.decisions:
+                snap = rec.snapshot
+                assert snap.latency == scn.service.base_latency
+                assert snap.queue == 0
+                assert snap.utilization == 0
+                assert snap.pending == 0
+                assert snap.ready_replicas == scn.controller.min_replicas

@@ -14,45 +14,39 @@ from slosim.signals import (
 )
 from slosim.sim import ServiceModel, observe_latency
 
-from helpers import state_with
-
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
 
 class TestSample:
     def test_idle_cluster_snapshot(self):
-        snap = sample(state_with(ready=2), 0, MODEL)
-        assert snap.latency == MODEL.base_latency
-        assert snap.queue == 0
-        assert snap.utilization == 0
-        assert snap.pending == 0
+        latency, util = sample(2, 0.0, 0, MODEL)
+        assert latency == MODEL.base_latency
+        assert util == 0
 
     def test_exact_saturation_utilization(self):
-        snap = sample(state_with(ready=4), 40, MODEL)
-        assert snap.utilization == pytest.approx(1.0)
+        _, util = sample(4, 0.0, 40, MODEL)
+        assert util == pytest.approx(1.0)
 
     def test_no_ready_replicas_uses_finite_cap(self):
-        snap = sample(state_with(ready=0), 10, MODEL)
-        assert snap.utilization == UTILIZATION_CAP
-        assert snap.latency == MODEL.latency_cap
+        latency, util = sample(0, 0.0, 10, MODEL)
+        assert util == UTILIZATION_CAP
+        assert latency == MODEL.latency_cap
 
     def test_zero_rate_zero_replicas_is_idle(self):
         assert utilization(0, 0, MODEL.per_replica_rate) == 0.0
 
     def test_smoothing_blends_previous_latency(self):
-        snap = sample(state_with(ready=2), 0, MODEL, prev_latency=0.15)
-        assert snap.latency == pytest.approx(0.5 * 0.05 + 0.5 * 0.15)
+        latency, _ = sample(2, 0.0, 0, MODEL, prev_latency=0.15)
+        assert latency == pytest.approx(0.5 * 0.05 + 0.5 * 0.15)
 
     @given(rates=st.lists(st.floats(0, 9.5), min_size=1, max_size=30))
     def test_smoothed_latency_stays_within_observed_range(self, rates):
         prev = None
         raws = []
         for rate in rates:
-            state = state_with(ready=1)
-            raws.append(observe_latency(state, rate, MODEL))
-            snap = sample(state, rate, MODEL, prev)
-            prev = snap.latency
-            assert min(raws) - 1e-9 <= snap.latency <= max(raws) + 1e-9
+            raws.append(observe_latency(1, 0.0, rate, MODEL))
+            prev, _ = sample(1, 0.0, rate, MODEL, prev)
+            assert min(raws) - 1e-9 <= prev <= max(raws) + 1e-9
 
 
 class TestForecastUpdate:

@@ -25,7 +25,7 @@ from slosim.sim import (
     observe_latency,
 )
 
-from helpers import ReferenceCluster, make_cluster, state_with
+from helpers import ReferenceCluster, make_cluster
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
@@ -63,6 +63,17 @@ class TestStep:
         c.step(50, MODEL, 1.0)  # capacity 100 >= 50 + 50 offered
         assert c.state.cumulative_served == 100
         assert c.state.queue_depth == 0
+
+    def test_returns_the_ready_count_it_served_with(self):
+        # two pending pods land on a node that activates this tick and,
+        # with no start delay, serve in it
+        c = make_cluster(ready=2, nodes=1, node_capacity=2,
+                         pod_start_delay=0.0, node_provision_delay=1.0)
+        c.schedule(4)
+        assert c.state.pending_replicas == 2
+        assert c.provision_node()
+        assert c.step(50, MODEL, 1.0) == 4
+        assert c.state.cumulative_served == 40
 
     def test_rejects_bad_inputs(self):
         c = make_cluster(ready=1)
@@ -102,21 +113,21 @@ class TestStep:
 
 class TestObserveLatency:
     def test_unloaded_cluster_reports_base_latency(self):
-        assert observe_latency(state_with(ready=4), 0, MODEL) == MODEL.base_latency
+        assert observe_latency(4, 0.0, 0, MODEL) == MODEL.base_latency
 
     def test_half_loaded_doubles_base_latency(self):
-        assert observe_latency(state_with(ready=4), 20, MODEL) == pytest.approx(0.1)
+        assert observe_latency(4, 0.0, 20, MODEL) == pytest.approx(0.1)
 
     def test_saturated_branch_adds_backlog_term(self):
-        lat = observe_latency(state_with(ready=4, queue=80), 60, MODEL)
+        lat = observe_latency(4, 80.0, 60, MODEL)
         assert lat == pytest.approx(0.05 + 81 / 40)
 
     def test_no_ready_replicas_reports_cap(self):
-        assert observe_latency(state_with(ready=0), 10, MODEL) == MODEL.latency_cap
+        assert observe_latency(0, 0.0, 10, MODEL) == MODEL.latency_cap
 
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
-            observe_latency(state_with(ready=1), -1, MODEL)
+            observe_latency(1, 0.0, -1, MODEL)
 
     # The response curve has two branches that meet discontinuously at
     # saturation, so monotonicity in replica count holds within each branch:
@@ -131,9 +142,8 @@ class TestObserveLatency:
     def test_more_replicas_never_raises_subcritical_latency(
             self, rate, queue, smaller, extra):
         assume(rate < smaller * MODEL.per_replica_rate)
-        few = observe_latency(state_with(ready=smaller, queue=queue), rate, MODEL)
-        many = observe_latency(
-            state_with(ready=smaller + extra, queue=queue), rate, MODEL)
+        few = observe_latency(smaller, queue, rate, MODEL)
+        many = observe_latency(smaller + extra, queue, rate, MODEL)
         assert many <= few + 1e-12
 
     @given(
@@ -145,15 +155,14 @@ class TestObserveLatency:
     def test_more_replicas_never_raises_saturated_latency(
             self, rate, queue, smaller, extra):
         assume(rate >= (smaller + extra) * MODEL.per_replica_rate)
-        few = observe_latency(state_with(ready=smaller, queue=queue), rate, MODEL)
-        many = observe_latency(
-            state_with(ready=smaller + extra, queue=queue), rate, MODEL)
+        few = observe_latency(smaller, queue, rate, MODEL)
+        many = observe_latency(smaller + extra, queue, rate, MODEL)
         assert many <= few + 1e-12
 
     @given(rate=st.floats(0, 500), queue=st.floats(0, 5000),
            ready=st.integers(0, 40))
     def test_latency_positive_and_capped(self, rate, queue, ready):
-        lat = observe_latency(state_with(ready=ready, queue=queue), rate, MODEL)
+        lat = observe_latency(ready, queue, rate, MODEL)
         assert 0 < lat <= MODEL.latency_cap
 
 
@@ -505,8 +514,9 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
                 assert cluster.provision_node() == ref.provision_node()
         else:
             for _ in range(arg):
-                cluster.step(arrivals, MODEL, dt)
+                ready = cluster.step(arrivals, MODEL, dt)
                 ref.step(arrivals, MODEL.per_replica_rate, dt)
+                assert ready == ref.ready_replicas
                 assert_same(cluster, ref, look)
         assert_same(cluster, ref, look)
     assert_same(cluster, ref, look=True)
@@ -680,10 +690,11 @@ def test_run_reports_each_corruption(monkeypatch, corrupt, message):
     ticks = []
 
     def corrupting_step(self, *args):
-        step(self, *args)
+        ready = step(self, *args)
         ticks.append(None)
         if len(ticks) == 400:
             corrupt(self.state)
+        return ready
 
     monkeypatch.setattr(Cluster, "step", corrupting_step)
     with pytest.raises(SimulationError, match=rf"t=399: {message}"):
@@ -700,10 +711,11 @@ def test_optimized_python_still_reports_a_corruption():
         step = Cluster.step
         ticks = []
         def corrupting_step(self, *args):
-            step(self, *args)
+            ready = step(self, *args)
             ticks.append(None)
             if len(ticks) == 400:
                 self.state.pending_replicas = -1
+            return ready
         Cluster.step = corrupting_step
         scn = dataclasses.replace(bundled_scenario("bursty"), horizon=600)
         try:
