@@ -19,13 +19,17 @@ EXIT_RUNTIME = 2
 
 def run_experiment(scn: ScenarioConfig, outdir: Path,
                    quiet: bool = False) -> int:
-    """Run every (controller, seed) pair and emit traces, reports, comparison."""
+    """Run every (controller, seed) pair and emit traces, reports, comparison.
+
+    Seeds run outer and controllers inner, so that all controllers of a seed
+    share its arrivals (see `workload`); reports are still aggregated and
+    printed per controller, in the scenario's order.
+    """
     scenario_dir = outdir / scn.name
-    aggregated = []
-    for kind in scn.controllers:
-        per_seed = []
-        for rep in range(scn.repeats):
-            seed = scn.seed + rep
+    per_kind = [[] for _ in scn.controllers]
+    for rep in range(scn.repeats):
+        seed = scn.seed + rep
+        for kind, reports in zip(scn.controllers, per_kind):
             trace = run(scn, kind, seed=seed)
             run_dir = scenario_dir / kind / str(seed)
             run_dir.mkdir(parents=True, exist_ok=True)
@@ -35,8 +39,10 @@ def run_experiment(scn: ScenarioConfig, outdir: Path,
                                           scn.service.per_replica_rate)
             (run_dir / "report.json").write_text(
                 json.dumps(dataclasses.asdict(report), indent=2) + "\n")
-            per_seed.append(report)
-        aggregated.append(metrics.aggregate_reports(per_seed))
+            reports.append(report)
+    aggregated = []
+    for kind, reports in zip(scn.controllers, per_kind):
+        aggregated.append(metrics.aggregate_reports(reports))
         if not quiet:
             rep = aggregated[-1]
             print(f"{scn.name}/{kind}: violations={rep.slo_violation_count:g} "

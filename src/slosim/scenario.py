@@ -14,7 +14,7 @@ from typing import get_type_hints
 
 from .controllers import CONTROLLER_KINDS, ControllerConfig
 from .sim import ClusterParams, ServiceModel
-from .workload import SEED_LIMIT, WorkloadSpec
+from .workload import SEED_LIMIT, WorkloadSpec, peak_arrivals
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +48,14 @@ class ScenarioConfig:
                     and abs(ticks - round(ticks)) <= 1e-9):
                 raise ConfigError(f"{where}: {value} is not a positive "
                                   f"multiple of tick {self.tick}")
+        # every count the run sums stays a float; noise may still push a
+        # tick past the bound
+        n_ticks = round(self.horizon / self.tick)
+        peak = peak_arrivals(self.workload, self.tick)
+        if not math.isfinite(peak * n_ticks):
+            raise ConfigError(
+                f"workload: up to {peak:g} arrivals per tick over {n_ticks} "
+                "ticks sum past the float range")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
         if self.seed < 0 or self.seed + self.repeats > SEED_LIMIT:

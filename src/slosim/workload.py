@@ -1,13 +1,31 @@
 """Seedable arrival generators: bursty spikes, backlog ramps, mixed batch.
 
-Every generator is a pure function of (spec, seed, t), so the same spec and
-seed replayed against different controllers yield identical arrival streams.
+Every generator is a pure function of (spec, seed, tick), so the same spec
+and seed replayed against different controllers yield identical arrival
+streams.
+
+Blocks: `arrivals_at` answers a tick from a block of ticks, filled on
+first use by the per-tick formula. From tick 0 the blocks double, from
+`FIRST_BLOCK` ticks up to `NOISE_BLOCK`, and then stay that size, so a
+short run fills few ticks past its end. The filled blocks are shared
+by every later call on the same `WorkloadSpec` object, seed and tick
+length: in practice, by every controller run on one parsed scenario. The
+module keeps one slot, holding the spec itself, so a call on another spec,
+seed or tick length empties it. Noiseless specs ignore the seed, so all
+seeds share one column. The slot is keyed on identity rather than
+equality so that a share lasts no longer than the parsed scenario it
+serves: an experiment that parses its documents again computes its
+arrivals again, as a fresh `slosim run` would. A call fills only the
+blocks of the slot it read, from its own arguments, so calls from several
+threads may fill a block twice but never read a wrong one. A caller that
+alternates between specs, seeds or tick lengths refills a block at every
+switch.
 
 Noise: tick k's factor is the first mean-one log-normal draw of
 `numpy.random.default_rng([seed, k])`. `_seed_words` hashes the seeding
-words of those generators a block of ticks at a time, as a vectorised copy
-of numpy's `SeedSequence` (kept stable by NEP 19), and numpy's own `PCG64`
-and `Generator` draw from them, so every factor is numpy's to the bit.
+words of a block's generators at once, as a vectorised copy of numpy's
+`SeedSequence` (kept stable by NEP 19), and numpy's own `PCG64` and
+`Generator` draw from them, so every factor is numpy's to the bit.
 `numpy.random` is imported at the first noisy draw, not before.
 
 Mixed batches: one per `burst_interval`, landing in the first tick that
@@ -18,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +137,10 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-NOISE_BLOCK = 1024  # ticks whose seeding words are hashed together
+FIRST_BLOCK = 64    # ticks in the block of tick 0; each next one doubles
+NOISE_BLOCK = 1024  # ticks in each block once they stop doubling
+# ticks in the doubling blocks; NOISE_BLOCK / FIRST_BLOCK is a power of two
+_DOUBLING = NOISE_BLOCK - FIRST_BLOCK
 
 
 def _seed_words(seed: int, ticks: np.ndarray) -> np.ndarray:
@@ -162,19 +184,11 @@ def _seed_words(seed: int, ticks: np.ndarray) -> np.ndarray:
     return pairs.astype(np.uint64, copy=False)
 
 
-@functools.lru_cache(maxsize=4)
-def _seed_block(seed: int, block: int) -> np.ndarray:
-    start = block * NOISE_BLOCK
-    words = _seed_words(seed, np.arange(start, start + NOISE_BLOCK,
-                                        dtype=np.uint64))
-    words.flags.writeable = False  # shared by every caller of the cache
-    return words
-
-
 @functools.cache
-def _lognormal_draw():
-    """`draw(words, sigma)`: numpy's first mean-one log-normal draw from a
-    `PCG64` seeded with `words`. Imports `numpy.random` on first use."""
+def _lognormal_draws():
+    """`draws(seed, sigma, ticks)`: for each uint64 tick in `ticks`, numpy's
+    first mean-one log-normal draw from `default_rng([seed, tick])`.
+    Imports `numpy.random` on first use."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -189,31 +203,90 @@ def _lognormal_draw():
                 raise ValueError("holds PCG64's four uint64 words only")
             return self.words
 
-    def draw(words, sigma: float) -> float:
-        rng = Generator(PCG64(Words(words)))
+    def draws(seed: int, sigma: float, ticks: np.ndarray) -> list[float]:
         # mean-one log-normal so the noiseless analytic mean is preserved
-        return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+        mean = -sigma * sigma / 2.0
+        return [float(Generator(PCG64(Words(words))).lognormal(mean, sigma))
+                for words in _seed_words(seed, ticks)]
 
-    return draw
+    return draws
 
 
-def _noise_factor(spec: WorkloadSpec, seed: int, t: float, dt: float) -> float:
-    if spec.noise_std == 0:
-        return 1.0
-    block, row = divmod(int(round(t / dt)), NOISE_BLOCK)
-    return _lognormal_draw()(_seed_block(seed, block)[row], spec.noise_std)
+def _fill(spec: WorkloadSpec, seed: int | None, dt: float, start: int,
+          size: int) -> list[int | None]:
+    """The arrivals of ticks [start, start + size); `seed` is None when
+    noiseless.
+
+    A count past the float range is None: the block may reach past the
+    run's horizon, so it fails only the run that reads it.
+    """
+    counts = [_mean_rate(spec, k * dt) * dt + _batch_bulk(spec, k * dt, dt)
+              for k in range(start, start + size)]
+    if seed is not None:
+        ticks = np.arange(start, start + size, dtype=np.uint64)
+        counts = map(operator.mul, counts,
+                     _lognormal_draws()(seed, spec.noise_std, ticks))
+    return [max(0, round(count)) if count < math.inf else None
+            for count in counts]
+
+
+# (spec, seed or None, dt, {first tick: block}) of the last call; see above
+_shared: tuple = (None, None, None, {})
 
 
 def arrivals_at(spec: WorkloadSpec, seed: int, t: float, dt: float) -> int:
     """Requests arriving in the tick [t, t+dt); `seed`, in [0, SEED_LIMIT),
-    picks the noise stream."""
+    picks the noise stream. `t` must be a whole number of ticks.
+
+    Calls on one spec object, seed and `dt` share filled blocks; a call on
+    another refills the block it reads (see the module docstring).
+    """
+    global _shared
     if t < 0:
         raise ValueError("t must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    count = _mean_rate(spec, t) * dt + _batch_bulk(spec, t, dt)
-    count *= _noise_factor(spec, seed, t, dt)
-    return max(0, int(round(count)))
+    k = round(t / dt)
+    if t != k * dt:
+        raise ValueError(f"t={t!r} is not a whole number of ticks of "
+                         f"dt={dt!r}")
+    if not spec.noise_std:
+        seed = None
+    held, held_seed, held_dt, blocks = _shared
+    if held is not spec or held_seed != seed or held_dt != dt:
+        blocks = {}
+        _shared = (spec, seed, dt, blocks)
+    if k < _DOUBLING:
+        # block j holds ticks [F * (2**j - 1), F * (2**(j+1) - 1)), F the
+        # first block's size
+        size = FIRST_BLOCK << ((k // FIRST_BLOCK + 1).bit_length() - 1)
+        start = size - FIRST_BLOCK
+    else:
+        size = NOISE_BLOCK
+        start = k - (k - _DOUBLING) % NOISE_BLOCK
+    column = blocks.get(start)
+    if column is None:
+        column = blocks[start] = _fill(spec, seed, dt, start, size)
+    count = column[k - start]
+    if count is None:
+        raise OverflowError(f"arrivals at t={t!r} pass the float range")
+    return count
+
+
+def peak_arrivals(spec: WorkloadSpec, dt: float) -> float:
+    """A bound on any tick's noiseless arrivals, as a float: the largest
+    rate over a whole tick, plus every batch that can land in it."""
+    base = float(spec.base_rate)
+    if spec.kind == "bursty":
+        if spec.burst_duration > 0:
+            base *= spec.burst_amplitude
+        return base * dt
+    if spec.kind == "queue_driven":
+        return max([base, *(rate for _, _, rate in spec.ramps)]) * dt
+    # mixed: the steady stream, and at most dt / period + 1 batches
+    period = spec.burst_interval
+    bulk = spec.batch_fraction * base * period
+    return (1.0 - spec.batch_fraction) * base * dt + (dt / period + 1) * bulk
 
 
 def analytic_mean_rate(spec: WorkloadSpec) -> float:

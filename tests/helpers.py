@@ -6,16 +6,29 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from slosim.controllers import DecisionRecord, ScalingAction
 from slosim.signals import SignalSnapshot
 from slosim.sim import Cluster, ClusterParams
-from slosim.workload import burst_onsets
+from slosim.workload import _batch_bulk, _mean_rate, burst_onsets
 
 
 def bundled_doc(name: str) -> dict:
     """The JSON document of a bundled scenario."""
     return json.loads((resources.files("slosim") / "scenarios"
                        / f"{name}.json").read_text())
+
+
+def arrivals_oracle(spec, seed: int, t: float, dt: float) -> int:
+    """`slosim.workload.arrivals_at` as one tick's formula, with the tick's
+    noise factor drawn from numpy's own `default_rng([seed, tick])`."""
+    count = _mean_rate(spec, t) * dt + _batch_bulk(spec, t, dt)
+    if spec.noise_std:
+        sigma = spec.noise_std
+        rng = np.random.default_rng([seed, round(t / dt)])
+        count *= float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+    return max(0, int(round(count)))
 
 
 def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,

@@ -276,6 +276,45 @@ class TestValidateCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and "UTF-8" in err[0] and "UTF-8" in err[1]
 
+    # both passed `validate`; the run's request counts summed to infinity
+    # and it stopped on a broken conservation invariant, exit 2
+    @pytest.mark.parametrize("base_rate,horizon", [(1e308, 60), (1e307, 600)])
+    def test_arrivals_past_the_float_range_rejected(self, tmp_path, capsys,
+                                                    base_rate, horizon):
+        doc = bundled_doc("bursty")
+        doc.update(horizon=horizon, controllers=["default_hpa", "proposed"])
+        doc["workload"]["base_rate"] = base_rate
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("workload:" in line for line in err)
+        assert not (tmp_path / "out").exists()
+
+    def test_noise_past_the_float_range_beyond_the_horizon_runs(self,
+                                                               tmp_path):
+        """Arrivals are filled past the horizon; only ticks a run reads can
+        fail it."""
+        doc = bundled_doc("bursty")
+        doc.update(horizon=1, controllers=["default_hpa", "proposed"])
+        doc["workload"].update(base_rate=1e308 / 1.01, burst_amplitude=1,
+                               noise_std=0.3)
+        path = write_scenario(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+
+    def test_queue_driven_without_ramps_runs_at_its_base_rate(self,
+                                                              tmp_path):
+        doc = dict(QUICK, workload={"kind": "queue_driven", "base_rate": 5})
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--quiet"]) \
+            == EXIT_OK
+        rows = (out / "quick/proposed/3/trace.jsonl").read_text().splitlines()
+        assert {json.loads(row)["arrivals"] for row in rows} == {5}
+
     def test_ramps_rejected_off_queue_driven(self, tmp_path, capsys):
         doc = with_value("workload", "kind", "bursty")  # FULL keeps its ramps
         assert main(["validate", str(write_scenario(tmp_path, doc))]) \
@@ -448,6 +487,29 @@ class TestRunCommand:
             return [json.loads(l)["arrivals"] for l in lines.splitlines()]
 
         assert arrivals("default_hpa") == arrivals("proposed")
+
+    def test_controller_order_changes_no_output(self, tmp_path, capsys):
+        """Controllers of a seed share its arrivals; whichever runs first
+        fills them."""
+        doc = dict(QUICK, horizon=600)
+        doc["workload"] = dict(QUICK["workload"], base_rate=40, noise_std=0.2)
+        path = write_scenario(tmp_path, doc)
+        outs = []
+        for order in ("default_hpa,proposed", "proposed,default_hpa"):
+            out = tmp_path / order
+            assert main(["run", str(path), "--out", str(out), "--repeats",
+                         "2", "--controllers", order]) == EXIT_OK
+            outs.append(out)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if "violations" in line] \
+            == ["quick/default_hpa", "quick/proposed",
+                "quick/proposed", "quick/default_hpa"]
+        for kind in ("default_hpa", "proposed"):
+            for seed in ("3", "4"):
+                for name in ("trace.jsonl", "decisions.jsonl", "report.json"):
+                    rel = f"quick/{kind}/{seed}/{name}"
+                    assert (outs[0] / rel).read_bytes() \
+                        == (outs[1] / rel).read_bytes(), rel
 
     def test_controller_filter_flag(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)

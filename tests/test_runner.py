@@ -1,5 +1,5 @@
-"""The run loop's trace: its columns, its row view, its writers, and the
-node requests it makes."""
+"""The run loop's trace: its columns, its row view, its writers, the node
+requests it makes, and the arrivals its runs share."""
 
 import contextlib
 import dataclasses
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slosim import runner
+from slosim import runner, workload
 from slosim.controllers import (DecisionRecord, HpaController, ScalingAction,
                                 SloCostController)
 from slosim.runner import RunTrace, TraceRows, run
@@ -141,6 +141,57 @@ class TestWriters:
                 assert max(trace.arrivals) > 2**63
             if integer_cap and no_nodes:
                 assert trace.latency[0] == 5 and type(trace.latency[0]) is int
+
+
+class TestSharedArrivals:
+    """Runs on one parsed scenario share its arrivals; which run fills them,
+    and what runs in between, changes no output."""
+
+    @staticmethod
+    def parsed(name, noise_std):
+        doc = bundled_doc(name)
+        doc.update(horizon=1200, tick=0.5)  # 2400 ticks: six blocks
+        doc["workload"]["noise_std"] = noise_std
+        return parse_scenario(doc)
+
+    @staticmethod
+    def outputs(trace):
+        return trace.to_jsonl(), trace.decisions_to_jsonl()
+
+    @pytest.mark.parametrize("noise_std", [0, 0.3])
+    def test_reversed_interleaved_runs_equal_fresh_runs(self, noise_std):
+        names = ("bursty", "mixed")
+        seeds = (3, 4)
+        # a freshly parsed scenario per run shares nothing
+        fresh = {}
+        for name in names:
+            for kind in self.parsed(name, noise_std).controllers:
+                for seed in seeds:
+                    scn = self.parsed(name, noise_std)
+                    fresh[name, kind, seed] = self.outputs(
+                        run(scn, kind, seed=seed))
+        a, b = (self.parsed(name, noise_std) for name in names)
+        shared = {}
+
+        def run_all(jobs):
+            for name, scn, kind, seed in jobs:
+                shared[name, kind, seed] = self.outputs(
+                    run(scn, kind, seed=seed))
+
+        with mock.patch.object(workload, "_fill",
+                               wraps=workload._fill) as fill:
+            # seed 3: each scenario's controllers back to back, reversed
+            run_all([("bursty", a, kind, 3) for kind in reversed(a.controllers)])
+            run_all([("mixed", b, kind, 3) for kind in reversed(b.controllers)])
+            assert fill.call_count == 2 * 6  # each block filled once
+            # seed 4: the two scenarios' runs alternate
+            run_all([job for kind_a, kind_b in zip(reversed(a.controllers),
+                                                   b.controllers)
+                     for job in (("bursty", a, kind_a, 4),
+                                 ("mixed", b, kind_b, 4))])
+        assert shared.keys() == fresh.keys()
+        for key, value in fresh.items():
+            assert shared[key] == value, key
 
 
 class TestProvisionNodes:

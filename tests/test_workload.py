@@ -1,11 +1,13 @@
-"""Arrival generators: shapes, determinism, long-run means, and the noise
-contract against numpy's own generator."""
+"""Arrival generators: shapes, determinism, long-run means, the shared
+blocks against the per-tick formula, and the noise contract against numpy's
+own generator."""
 
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,17 +15,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slosim
+from slosim import workload
 from slosim.workload import (
+    FIRST_BLOCK,
     NOISE_BLOCK,
     WorkloadSpec,
     _batch_bulk,
-    _noise_factor,
+    _lognormal_draws,
     _seed_words,
     analytic_mean_rate,
     arrivals_at,
     burst_onsets,
     in_burst,
+    peak_arrivals,
 )
+
+from helpers import arrivals_oracle
 
 BURSTY = WorkloadSpec(kind="bursty", base_rate=50, burst_amplitude=4,
                       burst_duration=60, burst_interval=600)
@@ -154,16 +161,117 @@ def test_arrivals_nonnegative_and_deterministic(spec, seed, t):
     assert first == arrivals_at(spec, seed, t, 1.0)
 
 
+class TestTickContract:
+    @pytest.mark.parametrize("dt", [0.1, 2.5])
+    def test_off_grid_t_rejected(self, dt):
+        assert arrivals_at(BURSTY, 0, 3 * dt, dt) == round(50 * dt)
+        off_grid = 3 * dt + dt / 4
+        with pytest.raises(ValueError, match=rf"t={off_grid!r}.*dt={dt!r}"):
+            arrivals_at(BURSTY, 0, off_grid, dt)
+
+    def test_negative_t_and_nonpositive_dt_rejected(self):
+        with pytest.raises(ValueError, match="t must be"):
+            arrivals_at(BURSTY, 0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="dt must be"):
+            arrivals_at(BURSTY, 0, 1.0, 0)
+
+
+class TestSharedBlocks:
+    def test_one_spec_at_two_tick_lengths(self):
+        spec = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
+        for k in (0, 5, NOISE_BLOCK + 2):
+            for dt in (0.5, 1.0):
+                assert arrivals_at(spec, 4, k * dt, dt) \
+                    == arrivals_oracle(spec, 4, k * dt, dt), (k, dt)
+
+    def test_a_count_past_the_float_range_fails_only_its_tick(self):
+        spec = WorkloadSpec(kind="bursty", base_rate=1e308 / 1.01,
+                            burst_amplitude=1, noise_std=0.3)
+        failed = 0
+        for k in range(NOISE_BLOCK):
+            try:
+                want = arrivals_oracle(spec, 5, float(k), 1.0)
+            except OverflowError:
+                failed += 1
+                with pytest.raises(OverflowError, match=f"t={float(k)!r}"):
+                    arrivals_at(spec, 5, float(k), 1.0)
+            else:
+                assert arrivals_at(spec, 5, float(k), 1.0) == want
+        assert 0 < failed < NOISE_BLOCK
+
+    def test_share_is_keyed_on_the_spec_object(self):
+        """An equal spec parsed again fills its blocks again."""
+        specs = [WorkloadSpec(kind="bursty", base_rate=50) for _ in range(2)]
+        with mock.patch.object(workload, "_fill",
+                               wraps=workload._fill) as fill:
+            for spec in (specs[0], specs[0], specs[1], specs[1]):
+                for seed in (1, 2):  # noiseless: the seed is not read
+                    arrivals_at(spec, seed, 7.0, 1.0)
+        assert fill.call_count == 2
+
+    def test_blocks_double_up_to_noise_block(self):
+        spec = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
+        with mock.patch.object(workload, "_fill",
+                               wraps=workload._fill) as fill:
+            for k in range(120):
+                arrivals_at(spec, 6, float(k), 1.0)
+            # a 120-tick run fills 192 ticks
+            assert [call.args[3:] for call in fill.call_args_list] \
+                == [(0, FIRST_BLOCK), (FIRST_BLOCK, 2 * FIRST_BLOCK)]
+            for k in range(120, 3000):
+                arrivals_at(spec, 6, float(k), 1.0)
+        assert [call.args[3:] for call in fill.call_args_list] \
+            == [(0, 64), (64, 128), (192, 256), (448, 512), (960, 1024),
+                (1984, 1024)]
+
+
+# the first and last tick of each of the first six blocks
+BLOCK_EDGES = [0, 63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984, 3007]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(("bursty", "queue_driven", "mixed")),
+       ramps=st.booleans(),
+       dt=st.sampled_from([0.1, 0.5, 1, 2.5]),
+       noise_std=st.sampled_from([0, 0.3]),
+       seeds=st.lists(st.integers(0, 2**31 - 1), min_size=2, max_size=2,
+                      unique=True),
+       ticks=st.lists(st.sampled_from(BLOCK_EDGES)
+                      | st.integers(0, 3 * NOISE_BLOCK), max_size=4))
+def test_blocks_match_the_per_tick_formula(kind, ramps, dt, noise_std, seeds,
+                                           ticks):
+    """Calls alternate, call by call, between two equal but distinct specs
+    and two seeds; every answer is the per-tick formula's, on both sides of
+    a block boundary and elsewhere. `peak_arrivals` bounds each noiseless
+    count."""
+    fields = dict(kind=kind, base_rate=1e6, burst_duration=90,
+                  burst_interval=700, noise_std=noise_std)
+    if kind == "mixed":
+        fields["batch_fraction"] = 0.3
+    if kind == "queue_driven" and ramps:
+        fields["ramps"] = ((100, 400, 3e6), (2000, 2100, 5e5))
+    specs = (WorkloadSpec(**fields), WorkloadSpec(**fields))
+    assert specs[0] == specs[1] and specs[0] is not specs[1]
+    for k in [NOISE_BLOCK - 1, NOISE_BLOCK, *ticks]:
+        for spec in specs:
+            for seed in seeds:
+                got = arrivals_at(spec, seed, k * dt, dt)
+                assert got == arrivals_oracle(spec, seed, k * dt, dt), (k, seed)
+                if not noise_std:
+                    assert got <= peak_arrivals(spec, dt) + 0.5, k
+
+
 class TestNoiseOracle:
     """Tick k's factor is the first mean-one log-normal draw of numpy's
     `default_rng([seed, k])`, exactly."""
 
     SIGMA = 0.3
-    SPEC = WorkloadSpec(kind="bursty", noise_std=SIGMA)
+    SPEC = WorkloadSpec(kind="bursty", base_rate=1e6, burst_amplitude=1,
+                        noise_std=SIGMA)
     SEEDS = [0, 1, 2**31 - 1,
              *map(int, np.random.default_rng(2024).integers(0, 2**31, 3))]
     TICKS = [0, NOISE_BLOCK - 1, NOISE_BLOCK, 2 * NOISE_BLOCK - 1, 86_399,
-             2**32 - 1, 2**32, 2**40 + 5,
+             2**32 - 1, 2**32, 2**40 + 5, 2**41 + 5,
              *map(int, np.random.default_rng(2025).integers(0, 2**41, 6))]
 
     def oracle(self, seed, tick):
@@ -173,9 +281,9 @@ class TestNoiseOracle:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_factor_equals_default_rng_draw(self, seed):
-        for tick in self.TICKS:
-            got = _noise_factor(self.SPEC, seed, float(tick), 1.0)
-            assert got == self.oracle(seed, tick), tick
+        ticks = np.array(self.TICKS, dtype=np.uint64)
+        got = _lognormal_draws()(seed, self.SIGMA, ticks)
+        assert got == [self.oracle(seed, tick) for tick in self.TICKS]
 
     def test_seeds_interleaved_call_by_call(self):
         seeds = (3, 2**31 - 1, 77)
@@ -183,13 +291,15 @@ class TestNoiseOracle:
                  *range(5 * NOISE_BLOCK - 3, 5 * NOISE_BLOCK + 3), 7, 86_399]
         for tick in ticks:
             for seed in seeds:
-                got = _noise_factor(self.SPEC, seed, float(tick), 1.0)
-                assert got == self.oracle(seed, tick), (seed, tick)
+                got = arrivals_at(self.SPEC, seed, float(tick), 1.0)
+                want = self.SPEC.base_rate * self.oracle(seed, tick)
+                assert got == round(want), (seed, tick)
 
     def test_fractional_tick_uses_the_tick_index(self):
         dt = 0.1
         for k in (0, 3, NOISE_BLOCK, 86_399):
-            assert _noise_factor(self.SPEC, 9, k * dt, dt) == self.oracle(9, k)
+            want = self.SPEC.base_rate * dt * self.oracle(9, k)
+            assert arrivals_at(self.SPEC, 9, k * dt, dt) == round(want)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_words_equal_seed_sequence_state(self, seed):
