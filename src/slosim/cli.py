@@ -62,13 +62,15 @@ def run_experiment(scn: ScenarioConfig, outdir: Path,
 def _cmd_run(args) -> int:
     try:
         scn = load_scenario(args.scenario)
+        overrides = {}
         if args.controllers is not None:
-            kinds = tuple(args.controllers.split(","))
-            scn = dataclasses.replace(scn, controllers=kinds)
+            overrides["controllers"] = tuple(args.controllers.split(","))
         if args.seed is not None:
-            scn = dataclasses.replace(scn, seed=args.seed)
+            overrides["seed"] = args.seed
         if args.repeats is not None:
-            scn = dataclasses.replace(scn, repeats=args.repeats)
+            overrides["repeats"] = args.repeats
+        if overrides:  # validated once, with every override in place
+            scn = dataclasses.replace(scn, **overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -306,15 +306,15 @@ class SloCostController:
         self.mu = mu
         self.node_capacity = node_capacity
         self.history = GuardrailState()
-        self.forecast = ForecastState(alpha=cfg.forecast_alpha,
-                                      beta=cfg.forecast_beta)
+        self.forecast = ForecastState()
 
     def decide(self, s: SignalSnapshot, cluster: ClusterState) -> DecisionRecord:
         cfg = self.cfg
         current = cluster.total_replicas + cluster.pending_replicas
 
         # stage 1 is the snapshot itself; fold the observation into the forecast
-        self.forecast = forecast_update(self.forecast, s.arrival_rate)
+        self.forecast = forecast_update(self.forecast, s.arrival_rate,
+                                        cfg.forecast_alpha, cfg.forecast_beta)
         predicted = forecast_horizon(self.forecast,
                                      cluster.params.pod_start_delay,
                                      cfg.control_interval)

@@ -182,8 +182,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
 
     state = cluster.state
     for k in range(n_ticks):
-        t = k * scn.tick
-        arrivals = workload.arrivals_at(scn.workload, seed, t, scn.tick)
+        arrivals = workload.arrivals_at(scn.workload, seed, k, scn.tick)
         ready = cluster.step(arrivals, scn.service, scn.tick)
         rate = arrivals / scn.tick
         latency, util = sample(ready, state.queue_depth, rate, scn.service,
@@ -223,7 +222,8 @@ def run(scn: ScenarioConfig, controller_kind: str,
         try:
             cluster.check_invariants()
         except AssertionError as exc:
-            raise SimulationError(f"invariant breach at t={t}: {exc}") from exc
+            raise SimulationError(
+                f"invariant breach at t={k * scn.tick}: {exc}") from exc
 
         trace.append(arrivals, ready, state.total_replicas - ready,
                      state.pending_replicas, state.active_nodes,

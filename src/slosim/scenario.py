@@ -37,6 +37,12 @@ class ScenarioConfig:
     controllers: tuple[str, ...] = CONTROLLER_KINDS
 
     def __post_init__(self):
+        # the name is a directory under the output directory
+        if self.name in ("", ".", "..") \
+                or any(c in self.name for c in ("/", "\\", "\0")):
+            raise ConfigError(
+                f"name: {self.name!r} is not a plain directory name (not "
+                "'.' or '..', and without '/', '\\' or NUL)")
         if self.tick <= 0:
             raise ConfigError("tick: must be > 0")
         # the run loop counts both in whole ticks
@@ -62,10 +68,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"seed: seeds {self.seed}..{self.seed + self.repeats - 1} "
                 f"must lie in [0, {SEED_LIMIT})")
-        for kind in self.controllers:
+        for i, kind in enumerate(self.controllers):
             if kind not in CONTROLLER_KINDS:
                 raise ConfigError(f"controllers: unknown kind {kind!r}")
-        if len(set(self.controllers)) < 2:
+            if kind in self.controllers[:i]:
+                raise ConfigError(f"controllers: kind {kind!r} repeated")
+        if len(self.controllers) < 2:
             raise ConfigError(
                 "controllers: need at least two distinct kinds to compare, "
                 f"got {', '.join(self.controllers)}")

@@ -8,7 +8,7 @@ decides on, and Holt linear demand forecasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .sim import ServiceModel, observe_latency
 
@@ -54,23 +54,20 @@ class ForecastState:
 
     level: float = 0.0
     trend: float = 0.0   # rate change per update step
-    alpha: float = 0.5
-    beta: float = 0.3
     primed: bool = False
 
-    def __post_init__(self):
-        if not (0 <= self.alpha <= 1 and 0 <= self.beta <= 1):
-            raise ValueError("alpha and beta must be in [0, 1]")
 
-
-def forecast_update(f: ForecastState, observed_rate: float) -> ForecastState:
+def forecast_update(f: ForecastState, observed_rate: float, alpha: float,
+                    beta: float) -> ForecastState:
+    """Fold `observed_rate` into `f` with level gain `alpha` and trend gain
+    `beta`, both in [0, 1]."""
     if observed_rate < 0:
         raise ValueError("observed_rate must be >= 0")
     if not f.primed:
-        return replace(f, level=observed_rate, trend=0.0, primed=True)
-    level = f.alpha * observed_rate + (1.0 - f.alpha) * (f.level + f.trend)
-    trend = f.beta * (level - f.level) + (1.0 - f.beta) * f.trend
-    return replace(f, level=level, trend=trend)
+        return ForecastState(level=observed_rate, primed=True)
+    level = alpha * observed_rate + (1.0 - alpha) * (f.level + f.trend)
+    trend = beta * (level - f.level) + (1.0 - beta) * f.trend
+    return ForecastState(level, trend, primed=True)
 
 
 def forecast_horizon(f: ForecastState, h: float, dt: float) -> float:

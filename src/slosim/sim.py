@@ -22,10 +22,10 @@ time: the lowest idle id is the newest emptied node if there is one, and
 else the oldest fresh one. The state keeps only what this leaves open: the
 placed pod count, the number of active nodes, the idle-since times of the
 emptied and of the fresh nodes, and the activation times of the nodes still
-being provisioned. Nodes that went idle at one time are interchangeable, so
-each kind of idle node is kept as runs of one idle-since time and a count,
-as replicas are kept as cohorts of pods placed at one time; the pods still
-starting are the cohorts at the tail whose `ready_at` is ahead.
+being provisioned. Pods placed at one time are interchangeable, and so are
+nodes of one kind that went idle at one time, so both are kept as cohorts:
+a time and a count. A pod cohort's time is when its pods are ready, and the
+pods still starting are the cohorts at the tail whose time is ahead.
 `Cluster.check_invariants` checks every stored fact on every tick.
 
 Counting the ready pods walks the starting cohorts, so a tick does it once:
@@ -60,26 +60,20 @@ class ServiceModel:
 
 @dataclass
 class Cohort:
-    """A cohort: `count` pods placed at one time, ready at `ready_at`."""
+    """`count` interchangeable items that share the time `t`: pods placed
+    together and ready at `t`, or nodes of one kind that went idle at `t`."""
 
-    ready_at: float
-    count: int = 1
-
-
-@dataclass
-class IdleRun:
-    """An idle run: `count` nodes of one kind that went idle at `since`."""
-
-    since: float
-    count: int = 1
+    t: float
+    count: int
 
 
-def _add_idle(runs: deque[IdleRun], since: float, count: int):
-    """Add `count` nodes idle since `since` at the right end of `runs`."""
-    if runs and runs[-1].since == since:
-        runs[-1].count += count
+def _add_cohort(cohorts: list[Cohort] | deque[Cohort], t: float, count: int):
+    """Add `count` items of time `t` at the right end of `cohorts`, merging
+    them into the last cohort if it has the same time."""
+    if cohorts and cohorts[-1].t == t:
+        cohorts[-1].count += count
     else:
-        runs.append(IdleRun(since, count))
+        cohorts.append(Cohort(t, count))
 
 
 @dataclass
@@ -107,28 +101,30 @@ class ClusterState:
     """Everything a tick reads: cohorts, node counts and idle times, counters.
 
     `replicas` holds cohorts in placement order, newest last, and
-    `total_replicas` is the sum of their counts. Pods are placed at the
-    current time with the constant `pod_start_delay >= 0`, and time only
-    moves forward, so `ready_at` never decreases along the list: the pods
-    still starting are the cohorts at the tail whose `ready_at` is ahead,
-    and `ready_replicas` is the total less those.
+    `total_replicas` is the sum of their counts; a cohort's time is when
+    its pods are ready. Pods are placed at the current time with the
+    constant `pod_start_delay >= 0`, and time only moves forward, so the
+    ready times never decrease along the list: the pods still starting are
+    the cohorts at the tail whose time is ahead, and `ready_replicas` is
+    the total less those.
 
     The occupied slots are a prefix of the active nodes in id order (see
     the module docstring), so `ceil(total_replicas / node_capacity)` of the
-    `active_nodes` are busy and the rest are idle, in runs of nodes that
-    went idle at one time. `emptied` holds the runs of idle nodes that have
-    held pods, by the time they emptied, oldest first and so highest id
-    first; the right end fills first. `fresh` holds the runs of idle nodes
-    that have held none, by activation time, oldest first and so lowest id
-    first; the left end fills first. A fill takes whole runs and then part
-    of one. Both retire whole runs from the left, and a retired node is gone
-    for good. Adjacent runs of one deque never share a time, so the times
-    strictly increase along it. `provisioning` holds the activation times of
-    the nodes on their way, in order, and `time` is `ticks` steps of the
-    fixed tick.
+    `active_nodes` are busy and the rest are idle, in cohorts of nodes that
+    went idle at one time. `emptied` holds the cohorts of idle nodes that
+    have held pods, by the time they emptied, oldest first and so highest
+    id first; the right end fills first. `fresh` holds the cohorts of idle
+    nodes that have held none, by activation time, oldest first and so
+    lowest id first; the left end fills first. A fill takes whole cohorts
+    and then part of one. Both retire whole cohorts from the left, and a
+    retired node is gone for good. Adjacent cohorts of one deque never
+    share a time, so the times strictly increase along it. `provisioning`
+    holds the activation times of the nodes on their way, in order, and
+    `time` is `ticks` steps of the fixed tick.
     """
 
-    # the fixed limits this state evolves under; controllers read them here
+    # the fixed limits this state evolves under; the cluster and the
+    # controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
     ticks: int = 0
@@ -140,8 +136,8 @@ class ClusterState:
     total_replicas: int = field(default=0, init=False)
     active_nodes: int = field(default=0, init=False)
     provisioning: deque[float] = field(default_factory=deque, init=False)
-    emptied: deque[IdleRun] = field(default_factory=deque, init=False)
-    fresh: deque[IdleRun] = field(default_factory=deque, init=False)
+    emptied: deque[Cohort] = field(default_factory=deque, init=False)
+    fresh: deque[Cohort] = field(default_factory=deque, init=False)
 
     @property
     def live_nodes(self) -> int:
@@ -158,7 +154,7 @@ class ClusterState:
         """Placed pods less the cohorts at the tail that are still starting."""
         ready, t = self.total_replicas, self.time
         for cohort in reversed(self.replicas):
-            if cohort.ready_at <= t:
+            if cohort.t <= t:
                 break
             ready -= cohort.count
         return ready
@@ -194,10 +190,9 @@ class Cluster:
     """
 
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
-        self.params = params
         self.state = ClusterState(params)
         if params.initial_nodes:
-            self.state.fresh.append(IdleRun(0.0, params.initial_nodes))
+            self.state.fresh.append(Cohort(0.0, params.initial_nodes))
         self.state.active_nodes = params.initial_nodes
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
@@ -208,7 +203,7 @@ class Cluster:
 
     def _nodes_for(self, pods: int) -> int:
         """How many busy nodes `pods` placed pods fill."""
-        return -(-pods // self.params.node_capacity)
+        return -(-pods // self.state.params.node_capacity)
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
@@ -219,32 +214,30 @@ class Cluster:
         filled = (self._nodes_for(s.total_replicas + placed)
                   - self._nodes_for(s.total_replicas))
         s.total_replicas += placed
-        reps = s.replicas
-        if reps and reps[-1].ready_at == ready_at:
-            reps[-1].count += placed
-        else:
-            reps.append(Cohort(ready_at, placed))
+        _add_cohort(s.replicas, ready_at, placed)
         # the pods fill the last busy node, then the lowest idle ids: the
         # newest emptied nodes, then the oldest fresh ones
         emptied, fresh = s.emptied, s.fresh
         while filled:
             if emptied:
-                run, drop = emptied[-1], emptied.pop
+                cohort, drop = emptied[-1], emptied.pop
             else:
-                run, drop = fresh[0], fresh.popleft
-            if run.count > filled:
-                run.count -= filled
+                cohort, drop = fresh[0], fresh.popleft
+            if cohort.count > filled:
+                cohort.count -= filled
                 break
-            filled -= run.count
+            filled -= cohort.count
             drop()
         return placed
 
     def _discharge_pending(self):
-        if self.state.pending_replicas <= 0:
+        """Place as many pending pods as there are free slots."""
+        s = self.state
+        if s.pending_replicas <= 0:
             return
-        ready_at = self.state.time + self.params.pod_start_delay
-        placed = self._place(self.state.pending_replicas, ready_at)
-        self.state.pending_replicas -= placed
+        placed = self._place(s.pending_replicas,
+                             s.time + s.params.pod_start_delay)
+        s.pending_replicas -= placed
 
     def _remove_replicas(self, count: int):
         """Scale-down: drop pending first, then placed replicas newest-first."""
@@ -266,7 +259,7 @@ class Cluster:
         # empty, each below every node emptied before
         freed = busy - self._nodes_for(s.total_replicas)
         if freed:
-            _add_idle(s.emptied, s.time, freed)
+            _add_cohort(s.emptied, s.time, freed)
 
     # -- spec operations --------------------------------------------------
 
@@ -297,7 +290,7 @@ class Cluster:
             provisioning.popleft()
             activated += 1
         if activated:
-            _add_idle(s.fresh, s.time, activated)
+            _add_cohort(s.fresh, s.time, activated)
             s.active_nodes += activated
         self._discharge_pending()
 
@@ -310,11 +303,11 @@ class Cluster:
         s.cumulative_served += served
 
         # nodes join either deque at the right with the current time, so
-        # the times increase along it and the first run not timed out ends
-        # its search
-        timeout = self.params.node_idle_timeout
+        # the times increase along it and the first cohort not timed out
+        # ends its search
+        timeout = s.params.node_idle_timeout
         for idle in (s.emptied, s.fresh):
-            while idle and s.time - idle[0].since > timeout:
+            while idle and s.time - idle[0].t > timeout:
                 s.active_nodes -= idle.popleft().count
         return ready
 
@@ -325,25 +318,23 @@ class Cluster:
         s = self.state
         current = s.total_replicas + s.pending_replicas
         if desired_replicas > current:
-            want = desired_replicas - current
-            ready_at = s.time + self.params.pod_start_delay
-            placed = self._place(want, ready_at)
-            s.pending_replicas += want - placed
+            s.pending_replicas += desired_replicas - current
+            self._discharge_pending()
         elif desired_replicas < current:
             self._remove_replicas(current - desired_replicas)
 
     def provision_node(self) -> bool:
         """Request one extra node; refused once max_nodes is reached."""
         s = self.state
-        if s.live_nodes >= self.params.max_nodes:
+        if s.live_nodes >= s.params.max_nodes:
             return False
-        s.provisioning.append(s.time + self.params.node_provision_delay)
+        s.provisioning.append(s.time + s.params.node_provision_delay)
         return True
 
     # -- invariant checks (used by tests and the run loop) -----------------
 
     def check_invariants(self):
-        """Check every stored fact; O(cohorts + idle runs). Each check raises
+        """Check every stored fact; O(cohorts). Each check raises
         AssertionError itself, so that `python -O` keeps it."""
         s = self.state
         if not s.queue_depth >= -1e-9:
@@ -355,48 +346,52 @@ class Cluster:
             raise AssertionError("request conservation violated")
 
         total = 0
-        prev_ready_at = -math.inf
-        for rep in s.replicas:
-            ready_at, count = rep.ready_at, rep.count
+        prev_t = -math.inf
+        for cohort in s.replicas:
+            t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty cohort")
-            if not ready_at >= prev_ready_at:
+            if not t >= prev_t:
                 raise AssertionError("cohorts out of ready_at order")
-            prev_ready_at = ready_at
+            prev_t = t
             total += count
         if s.total_replicas != total:
             raise AssertionError("replica counter drifted")
 
-        # each deque holds non-empty runs in the strict time order its scan
-        # and the fill order rely on, so no two adjacent runs share a time
+        # each deque holds non-empty cohorts in the strict time order its
+        # scan and the fill order rely on, so no two adjacent cohorts share
+        # a time
         idle = 0
-        prev_since = -math.inf
-        for run in s.emptied:
-            since, count = run.since, run.count
+        prev_t = -math.inf
+        for cohort in s.emptied:
+            t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty emptied run")
-            if not since > prev_since:
+            if not t > prev_t:
                 raise AssertionError("emptied nodes out of order")
-            prev_since = since
+            prev_t = t
             idle += count
-        prev_since = -math.inf
-        for run in s.fresh:
-            since, count = run.since, run.count
+        prev_t = -math.inf
+        for cohort in s.fresh:
+            t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty fresh run")
-            if not since > prev_since:
+            if not t > prev_t:
                 raise AssertionError("fresh nodes out of order")
-            prev_since = since
+            prev_t = t
             idle += count
 
         # the prefix rule: every active node is busy, with exactly enough
-        # room for the pods, or idle in exactly one run
+        # room for the pods, or idle in exactly one cohort
         if self._nodes_for(total) + idle != s.active_nodes:
             raise AssertionError("node count does not fit the busy and idle"
                                  " nodes")
+        # every placement discharges pending pods into the free slots first
+        if s.pending_replicas and s.free_slots > 0:
+            raise AssertionError("pending pods while a slot is free")
 
         provisioning = list(s.provisioning)
         if provisioning != sorted(provisioning):
             raise AssertionError("provisioning nodes out of order")
-        if s.live_nodes > self.params.max_nodes:
+        if s.live_nodes > s.params.max_nodes:
             raise AssertionError("more live nodes than max_nodes")

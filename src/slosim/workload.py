@@ -1,8 +1,8 @@
 """Seedable arrival generators: bursty spikes, backlog ramps, mixed batch.
 
-Every generator is a pure function of (spec, seed, tick), so the same spec
-and seed replayed against different controllers yield identical arrival
-streams.
+Every generator is a pure function of (spec, seed, tick index), so the
+same spec and seed replayed against different controllers yield identical
+arrival streams.
 
 Blocks: `arrivals_at` answers a tick from a block of ticks, filled on
 first use by the per-tick formula. From tick 0 the blocks double, from
@@ -111,8 +111,9 @@ def _mean_rate(spec: WorkloadSpec, t: float) -> float:
     return (1.0 - spec.batch_fraction) * spec.base_rate
 
 
-def _batch_bulk(spec: WorkloadSpec, t: float, dt: float) -> float:
-    """Bulk requests injected once per batch period, mid-period like bursts.
+def _batch_bulk(spec: WorkloadSpec, k: int, dt: float) -> float:
+    """Bulk requests injected in tick `k` of length `dt`, once per batch
+    period, mid-period like bursts.
 
     A batch lands in the first tick that starts at or after its period's
     midpoint; counting from the tick index makes the sum telescope to
@@ -127,7 +128,6 @@ def _batch_bulk(spec: WorkloadSpec, t: float, dt: float) -> float:
         # midpoints in [0, k * dt]; none lie before the run starts
         return max(0, math.floor((k * dt - mid) / period) + 1)
 
-    k = int(round(t / dt))
     batches = landed(k) - landed(k - 1)
     return batches * spec.batch_fraction * spec.base_rate * period
 
@@ -220,7 +220,7 @@ def _fill(spec: WorkloadSpec, seed: int | None, dt: float, start: int,
     A count past the float range is None: the block may reach past the
     run's horizon, so it fails only the run that reads it.
     """
-    counts = [_mean_rate(spec, k * dt) * dt + _batch_bulk(spec, k * dt, dt)
+    counts = [_mean_rate(spec, k * dt) * dt + _batch_bulk(spec, k, dt)
               for k in range(start, start + size)]
     if seed is not None:
         ticks = np.arange(start, start + size, dtype=np.uint64)
@@ -234,22 +234,19 @@ def _fill(spec: WorkloadSpec, seed: int | None, dt: float, start: int,
 _shared: tuple = (None, None, None, {})
 
 
-def arrivals_at(spec: WorkloadSpec, seed: int, t: float, dt: float) -> int:
-    """Requests arriving in the tick [t, t+dt); `seed`, in [0, SEED_LIMIT),
-    picks the noise stream. `t` must be a whole number of ticks.
+def arrivals_at(spec: WorkloadSpec, seed: int, k: int, dt: float) -> int:
+    """Requests arriving in tick `k >= 0`, the interval [k * dt, (k+1) * dt);
+    `seed`, in [0, SEED_LIMIT), picks the noise stream.
 
     Calls on one spec object, seed and `dt` share filled blocks; a call on
     another refills the block it reads (see the module docstring).
     """
     global _shared
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    k = operator.index(k)
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    k = round(t / dt)
-    if t != k * dt:
-        raise ValueError(f"t={t!r} is not a whole number of ticks of "
-                         f"dt={dt!r}")
     if not spec.noise_std:
         seed = None
     held, held_seed, held_dt, blocks = _shared
@@ -269,7 +266,7 @@ def arrivals_at(spec: WorkloadSpec, seed: int, t: float, dt: float) -> int:
         column = blocks[start] = _fill(spec, seed, dt, start, size)
     count = column[k - start]
     if count is None:
-        raise OverflowError(f"arrivals at t={t!r} pass the float range")
+        raise OverflowError(f"arrivals at t={k * dt!r} pass the float range")
     return count
 
 

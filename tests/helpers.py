@@ -20,13 +20,13 @@ def bundled_doc(name: str) -> dict:
                        / f"{name}.json").read_text())
 
 
-def arrivals_oracle(spec, seed: int, t: float, dt: float) -> int:
+def arrivals_oracle(spec, seed: int, k: int, dt: float) -> int:
     """`slosim.workload.arrivals_at` as one tick's formula, with the tick's
-    noise factor drawn from numpy's own `default_rng([seed, tick])`."""
-    count = _mean_rate(spec, t) * dt + _batch_bulk(spec, t, dt)
+    noise factor drawn from numpy's own `default_rng([seed, k])`."""
+    count = _mean_rate(spec, k * dt) * dt + _batch_bulk(spec, k, dt)
     if spec.noise_std:
         sigma = spec.noise_std
-        rng = np.random.default_rng([seed, round(t / dt)])
+        rng = np.random.default_rng([seed, k])
         count *= float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
     return max(0, int(round(count)))
 

@@ -230,9 +230,9 @@ def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
     assert math.ceil(s.total_replicas / capacity) + sum(idle) \
         == s.active_nodes
     for runs in (s.emptied, s.fresh):
-        times = [run.since for run in runs]
+        times = [run.t for run in runs]
         assert all(a < b for a, b in zip(times, times[1:]))
-    assert s.live_nodes <= cluster.params.max_nodes
+    assert s.live_nodes <= s.params.max_nodes
 
 
 def test_criterion_5_determinism(all_runs, scenarios):
@@ -360,9 +360,9 @@ def test_criterion_6_latency_closed_form_oracle():
 
 def test_criterion_6_forecast_linear_convergence():
     slope, intercept = 2.5, 40.0
-    f = ForecastState(alpha=0.5, beta=0.3)
+    f = ForecastState()
     for i in range(50):
-        f = forecast_update(f, intercept + slope * i)
+        f = forecast_update(f, intercept + slope * i, 0.5, 0.3)
     trend_err = abs(f.trend - slope) / slope
     predicted = forecast_horizon(f, 10.0, 1.0)
     truth = intercept + slope * (49 + 10)

@@ -241,6 +241,8 @@ class TestValidateCommand:
         ("controller", "tolerance_band", -0.1),
         ("controller", "cost_per_replica_hour", -0.1),  # a negative cost
         ("controller", "cost_per_node_hour", -1),
+        ("controller", "forecast_alpha", 1.5),
+        ("controller", "forecast_beta", -0.1),
         ("document", "horizon", 0.4),           # under one tick of 0.5
     ])
     def test_values_that_break_a_run_rejected(self, tmp_path, capsys,
@@ -321,7 +323,25 @@ class TestValidateCommand:
             == EXIT_CONFIG
         assert "workload: ramps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kinds", [["proposed"], ["proposed", "proposed"]])
+    # each name wrote its runs outside --out, or into --out itself
+    @pytest.mark.parametrize("name", [
+        ".", "..", "../escaped", "a/b", "a\\b", "a\0b", "{tmp}/escaped"])
+    def test_name_outside_the_output_directory_rejected(self, tmp_path,
+                                                        capsys, name):
+        work = tmp_path / "work"
+        work.mkdir()
+        path = write_scenario(work, dict(QUICK, name=name.format(tmp=work)))
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(work / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("name:" in line for line in err)
+        assert list(tmp_path.rglob("*")) == [work, path]
+
+    @pytest.mark.parametrize("kinds", [
+        ["proposed"], ["proposed", "proposed"],
+        ["proposed", "proposed", "default_hpa"],
+    ])
     def test_fewer_than_two_controllers_rejected(self, tmp_path, capsys,
                                                  kinds):
         path = write_scenario(tmp_path, dict(QUICK, controllers=kinds))
@@ -545,6 +565,15 @@ class TestRunCommand:
         assert main(["run", str(path), "--out", str(out), "--seed", "-1",
                      "--quiet"]) == EXIT_CONFIG
         assert not out.exists()
+
+    def test_seed_and_repeats_flags_validated_together(self, tmp_path):
+        """The last seed, run once, was refused while the document's two
+        repeats were still in place."""
+        path = write_scenario(tmp_path, dict(QUICK, repeats=2))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--seed",
+                     str(2**31 - 1), "--repeats", "1", "--quiet"]) == EXIT_OK
+        assert (out / f"quick/proposed/{2**31 - 1}/trace.jsonl").exists()
 
     def test_missing_output_dir_created(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)

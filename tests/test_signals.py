@@ -52,30 +52,27 @@ class TestSample:
 class TestForecastUpdate:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            ForecastState(alpha=1.5)
-        with pytest.raises(ValueError):
-            forecast_update(ForecastState(), -1.0)
+            forecast_update(ForecastState(), -1.0, 0.5, 0.3)
 
     def test_constant_input_converges_to_fixed_point(self):
         f = ForecastState()
         for _ in range(100):
-            f = forecast_update(f, 42.0)
+            f = forecast_update(f, 42.0, 0.5, 0.3)
         assert f.level == pytest.approx(42.0)
         assert f.trend == pytest.approx(0.0, abs=1e-6)
 
     def test_degenerate_parameters_track_observation(self):
-        f = ForecastState(level=10.0, trend=0.0, alpha=1.0, beta=0.0,
-                          primed=True)
-        f = forecast_update(f, 33.0)
+        f = ForecastState(level=10.0, trend=0.0, primed=True)
+        f = forecast_update(f, 33.0, 1.0, 0.0)
         assert f.level == 33.0
         assert f.trend == 0.0
 
     def test_matches_direct_recurrence_evaluation(self):
         observations = [3.0 * i + 7.0 for i in range(60)]
-        f = ForecastState(alpha=0.5, beta=0.3)
+        f = ForecastState()
         level, trend, primed = 0.0, 0.0, False
         for obs in observations:
-            f = forecast_update(f, obs)
+            f = forecast_update(f, obs, 0.5, 0.3)
             if not primed:
                 level, trend, primed = obs, 0.0, True
             else:
@@ -87,9 +84,9 @@ class TestForecastUpdate:
 
     def test_linear_series_trend_converges_within_5pct_by_50_steps(self):
         slope = 4.0
-        f = ForecastState(alpha=0.5, beta=0.3)
+        f = ForecastState()
         for i in range(50):
-            f = forecast_update(f, slope * i)
+            f = forecast_update(f, slope * i, 0.5, 0.3)
         assert f.trend == pytest.approx(slope, rel=0.05)
 
 

@@ -20,7 +20,6 @@ from slosim.sim import (
     Cluster,
     ClusterParams,
     Cohort,
-    IdleRun,
     ServiceModel,
     observe_latency,
 )
@@ -30,9 +29,9 @@ from helpers import ReferenceCluster, make_cluster
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
 
-def runs(idle):
-    """An idle deque as (since, count) pairs, left to right."""
-    return [(run.since, run.count) for run in idle]
+def runs(cohorts):
+    """Cohorts as (t, count) pairs, left to right."""
+    return [(cohort.t, cohort.count) for cohort in cohorts]
 
 
 class TestServiceModel:
@@ -169,9 +168,9 @@ class TestObserveLatency:
 class TestSchedule:
     def test_matching_desired_is_noop(self):
         c = make_cluster(ready=4)
-        before = [(r.ready_at, r.count) for r in c.state.replicas]
+        before = runs(c.state.replicas)
         c.schedule(4)
-        assert [(r.ready_at, r.count) for r in c.state.replicas] == before
+        assert runs(c.state.replicas) == before
         assert c.state.active_nodes == 2
         assert runs(c.state.fresh) == [(0.0, 1)] and not c.state.emptied
 
@@ -180,8 +179,8 @@ class TestSchedule:
         c.schedule(6)
         assert c.state.pending_replicas == 0
         # one entry per pod, expanded from the cohorts
-        starting = [r.ready_at for r in c.state.replicas
-                    for _ in range(r.count) if r.ready_at > c.state.time]
+        starting = [r.t for r in c.state.replicas
+                    for _ in range(r.count) if r.t > c.state.time]
         assert starting == [15.0, 15.0]
 
     def test_overflow_becomes_pending(self):
@@ -195,7 +194,7 @@ class TestSchedule:
         c.schedule(4)  # two more, newest land on node 1
         assert not c.state.fresh and not c.state.emptied
         c.schedule(2)
-        assert [(r.ready_at, r.count) for r in c.state.replicas] == [(0.0, 2)]
+        assert runs(c.state.replicas) == [(0.0, 2)]
         assert runs(c.state.emptied) == [(0.0, 1)]  # node 1
 
     def test_scale_down_drops_pending_before_placed(self):
@@ -222,7 +221,7 @@ class TestSchedule:
         c.schedule(6)  # spans nodes 0 and 1, same ready time
         c.step(0, MODEL, 1.0)
         c.schedule(7)
-        assert [(r.ready_at, r.count) for r in c.state.replicas] == \
+        assert runs(c.state.replicas) == \
             [(5.0, 6), (6.0, 1)]
         assert runs(c.state.fresh) == [(0.0, 1)]  # node 2
 
@@ -250,7 +249,7 @@ class TestSchedule:
         c.schedule(4)  # node 0's free slot first, then node 2
         assert not c.state.fresh and c.state.active_nodes == 2
         assert c.state.free_slots == 0
-        assert [(r.ready_at, r.count) for r in c.state.replicas] == \
+        assert runs(c.state.replicas) == \
             [(0.0, 1), (19.0, 3)]
 
     def test_fresh_nodes_fill_oldest_first(self):
@@ -472,12 +471,12 @@ def assert_same(cluster, ref, look):
     # Rebuild each active node's (pods, idle_since) in id order: the busy
     # nodes, full but the last, then the emptied nodes newest first, then
     # the fresh ones oldest first, each run expanded into its nodes
-    cap = cluster.params.node_capacity
+    cap = s.params.node_capacity
     busy, last = divmod(s.total_replicas, cap)
     nodes = [(cap, None)] * busy + [(last, None)] * (last > 0)
-    nodes += [(0, run.since) for run in reversed(s.emptied)
+    nodes += [(0, run.t) for run in reversed(s.emptied)
               for _ in range(run.count)]
-    nodes += [(0, run.since) for run in s.fresh for _ in range(run.count)]
+    nodes += [(0, run.t) for run in s.fresh for _ in range(run.count)]
     assert nodes == [(n.used, n.idle_since) for n in ref.nodes if n.active]
     cluster.check_invariants()
 
@@ -527,10 +526,10 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
 def add_idle_node(idle, since):
     """One more node idle since `since` at the right of `idle`, merged into
     the last run as the cluster merges it."""
-    if idle and idle[-1].since == since:
+    if idle and idle[-1].t == since:
         idle[-1].count += 1
     else:
-        idle.append(IdleRun(since))
+        idle.append(Cohort(since, 1))
 
 
 def used_off_by_one(s):
@@ -550,11 +549,11 @@ def break_conservation(s):
 
 
 def misorder_cohorts(s):
-    s.replicas.insert(0, Cohort(s.time + 100.0))
+    s.replicas.insert(0, Cohort(s.time + 100.0, 1))
 
 
 def add_empty_cohort(s):
-    s.replicas.insert(0, Cohort(0.0, count=0))
+    s.replicas.insert(0, Cohort(0.0, 0))
 
 
 def drift_total_replicas(s):
@@ -592,27 +591,33 @@ def untrack_empty_node(s):
 
 
 def misorder_idle(s):
-    s.emptied.extend((IdleRun(s.time), IdleRun(s.time - 1.0)))
+    s.emptied.extend((Cohort(s.time, 1), Cohort(s.time - 1.0, 1)))
     s.active_nodes += 2
 
 
 def misorder_fresh(s):
-    s.fresh.extend((IdleRun(s.time), IdleRun(s.time - 1.0)))
+    s.fresh.extend((Cohort(s.time, 1), Cohort(s.time - 1.0, 1)))
     s.active_nodes += 2
 
 
 def split_idle_run(s):
     # two adjacent runs with one time: the count fits, the merge is missing
-    s.emptied.extend((IdleRun(s.time), IdleRun(s.time)))
+    s.emptied.extend((Cohort(s.time, 1), Cohort(s.time, 1)))
     s.active_nodes += 2
 
 
 def empty_emptied_run(s):
-    s.emptied.append(IdleRun(s.time, count=0))
+    s.emptied.append(Cohort(s.time, 0))
 
 
 def empty_fresh_run(s):
-    s.fresh.append(IdleRun(s.time, count=0))
+    s.fresh.append(Cohort(s.time, 0))
+
+
+def pend_beside_a_free_node(s):
+    s.pending_replicas += 1
+    add_idle_node(s.fresh, s.time)
+    s.active_nodes += 1
 
 
 def exceed_max_nodes(s):
@@ -641,6 +646,7 @@ CORRUPTIONS = [
     (split_idle_run, "emptied nodes out of order"),
     (empty_emptied_run, "empty emptied run"),
     (empty_fresh_run, "empty fresh run"),
+    (pend_beside_a_free_node, "pending pods while a slot is free"),
     (exceed_max_nodes, "more live nodes than max_nodes"),
 ]
 corruption_params = pytest.mark.parametrize(

@@ -52,14 +52,13 @@ class TestValidation:
 
 class TestBursty:
     def test_quiet_phase_yields_base_rate(self):
-        t = 0.0
-        assert not in_burst(BURSTY, t)
-        assert arrivals_at(BURSTY, 0, t, 1.0) == 50
+        assert not in_burst(BURSTY, 0.0)
+        assert arrivals_at(BURSTY, 0, 0, 1.0) == 50
 
     def test_burst_phase_multiplies_rate(self):
         onset = burst_onsets(BURSTY, 600)[0]
         assert in_burst(BURSTY, onset)
-        assert arrivals_at(BURSTY, 0, onset, 1.0) == 200
+        assert arrivals_at(BURSTY, 0, int(onset), 1.0) == 200
 
     def test_onsets_are_periodic_and_exclude_t0(self):
         onsets = burst_onsets(BURSTY, 3600)
@@ -80,14 +79,14 @@ class TestBursty:
         noisy = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
         assert arrivals_at(noisy, 7, 123, 1.0) == arrivals_at(noisy, 7, 123, 1.0)
 
-    @given(t=st.integers(0, 5000))
-    def test_noiseless_generator_is_periodic(self, t):
-        period = BURSTY.burst_interval
-        assert arrivals_at(BURSTY, 0, t, 1.0) == arrivals_at(BURSTY, 0, t + period, 1.0)
+    @given(k=st.integers(0, 5000))
+    def test_noiseless_generator_is_periodic(self, k):
+        period = int(BURSTY.burst_interval)
+        assert arrivals_at(BURSTY, 0, k, 1.0) == arrivals_at(BURSTY, 0, k + period, 1.0)
 
     def test_empirical_mean_matches_analytic_mean(self):
         horizon = 6 * int(BURSTY.burst_interval)
-        total = sum(arrivals_at(BURSTY, 0, t, 1.0) for t in range(horizon))
+        total = sum(arrivals_at(BURSTY, 0, k, 1.0) for k in range(horizon))
         assert total / horizon == pytest.approx(analytic_mean_rate(BURSTY),
                                                 rel=0.01)
 
@@ -113,14 +112,14 @@ class TestMixed:
         assert arrivals_at(self.SPEC, 0, 0, 1.0) == 28
 
     def test_bulk_batch_lands_mid_period(self):
-        bulk_tick = self.SPEC.burst_interval / 2
+        bulk_tick = int(self.SPEC.burst_interval / 2)
         expected = 0.3 * 40 * 600 + 28
         assert arrivals_at(self.SPEC, 0, bulk_tick, 1.0) == expected
         assert arrivals_at(self.SPEC, 0, bulk_tick + 1, 1.0) == 28
 
     def test_empirical_mean_restores_full_rate(self):
         horizon = 4 * int(self.SPEC.burst_interval)
-        total = sum(arrivals_at(self.SPEC, 0, t, 1.0) for t in range(horizon))
+        total = sum(arrivals_at(self.SPEC, 0, k, 1.0) for k in range(horizon))
         assert total / horizon == pytest.approx(analytic_mean_rate(self.SPEC),
                                                 rel=0.01)
 
@@ -131,12 +130,12 @@ class TestMixed:
     ])
     def test_one_batch_per_period_at_any_tick(self, dt, n_ticks):
         bulk = 0.3 * 40 * 600
-        total = sum(_batch_bulk(self.SPEC, k * dt, dt) for k in range(n_ticks))
+        total = sum(_batch_bulk(self.SPEC, k, dt) for k in range(n_ticks))
         assert total == pytest.approx(60 * bulk)
 
     def test_batch_lands_in_first_tick_at_or_after_midpoint(self):
         dt = 0.7
-        landed = [k for k in range(1000) if _batch_bulk(self.SPEC, k * dt, dt)]
+        landed = [k for k in range(1000) if _batch_bulk(self.SPEC, k, dt)]
         assert landed == [429]  # 428 * 0.7 < 300 <= 429 * 0.7
 
 
@@ -154,26 +153,28 @@ spec_strategy = st.builds(
 
 @settings(deadline=None)
 @given(spec=spec_strategy, seed=st.integers(0, 2**31 - 1),
-       t=st.integers(0, 10_000))
-def test_arrivals_nonnegative_and_deterministic(spec, seed, t):
-    first = arrivals_at(spec, seed, t, 1.0)
+       k=st.integers(0, 10_000))
+def test_arrivals_nonnegative_and_deterministic(spec, seed, k):
+    first = arrivals_at(spec, seed, k, 1.0)
     assert first >= 0
-    assert first == arrivals_at(spec, seed, t, 1.0)
+    assert first == arrivals_at(spec, seed, k, 1.0)
 
 
 class TestTickContract:
     @pytest.mark.parametrize("dt", [0.1, 2.5])
-    def test_off_grid_t_rejected(self, dt):
-        assert arrivals_at(BURSTY, 0, 3 * dt, dt) == round(50 * dt)
-        off_grid = 3 * dt + dt / 4
-        with pytest.raises(ValueError, match=rf"t={off_grid!r}.*dt={dt!r}"):
-            arrivals_at(BURSTY, 0, off_grid, dt)
+    def test_tick_index_counts_ticks_of_dt(self, dt):
+        assert arrivals_at(BURSTY, 0, 3, dt) == round(50 * dt)
 
-    def test_negative_t_and_nonpositive_dt_rejected(self):
-        with pytest.raises(ValueError, match="t must be"):
-            arrivals_at(BURSTY, 0, -1.0, 1.0)
+    def test_negative_k_and_nonpositive_dt_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            arrivals_at(BURSTY, 0, -1, 1.0)
         with pytest.raises(ValueError, match="dt must be"):
-            arrivals_at(BURSTY, 0, 1.0, 0)
+            arrivals_at(BURSTY, 0, 1, 0)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(TypeError):
+            arrivals_at(BURSTY, 0, k, 1.0)
 
 
 class TestSharedBlocks:
@@ -181,8 +182,8 @@ class TestSharedBlocks:
         spec = WorkloadSpec(kind="bursty", base_rate=50, noise_std=0.3)
         for k in (0, 5, NOISE_BLOCK + 2):
             for dt in (0.5, 1.0):
-                assert arrivals_at(spec, 4, k * dt, dt) \
-                    == arrivals_oracle(spec, 4, k * dt, dt), (k, dt)
+                assert arrivals_at(spec, 4, k, dt) \
+                    == arrivals_oracle(spec, 4, k, dt), (k, dt)
 
     def test_a_count_past_the_float_range_fails_only_its_tick(self):
         spec = WorkloadSpec(kind="bursty", base_rate=1e308 / 1.01,
@@ -190,13 +191,13 @@ class TestSharedBlocks:
         failed = 0
         for k in range(NOISE_BLOCK):
             try:
-                want = arrivals_oracle(spec, 5, float(k), 1.0)
+                want = arrivals_oracle(spec, 5, k, 1.0)
             except OverflowError:
                 failed += 1
                 with pytest.raises(OverflowError, match=f"t={float(k)!r}"):
-                    arrivals_at(spec, 5, float(k), 1.0)
+                    arrivals_at(spec, 5, k, 1.0)
             else:
-                assert arrivals_at(spec, 5, float(k), 1.0) == want
+                assert arrivals_at(spec, 5, k, 1.0) == want
         assert 0 < failed < NOISE_BLOCK
 
     def test_share_is_keyed_on_the_spec_object(self):
@@ -206,7 +207,7 @@ class TestSharedBlocks:
                                wraps=workload._fill) as fill:
             for spec in (specs[0], specs[0], specs[1], specs[1]):
                 for seed in (1, 2):  # noiseless: the seed is not read
-                    arrivals_at(spec, seed, 7.0, 1.0)
+                    arrivals_at(spec, seed, 7, 1.0)
         assert fill.call_count == 2
 
     def test_blocks_double_up_to_noise_block(self):
@@ -214,12 +215,12 @@ class TestSharedBlocks:
         with mock.patch.object(workload, "_fill",
                                wraps=workload._fill) as fill:
             for k in range(120):
-                arrivals_at(spec, 6, float(k), 1.0)
+                arrivals_at(spec, 6, k, 1.0)
             # a 120-tick run fills 192 ticks
             assert [call.args[3:] for call in fill.call_args_list] \
                 == [(0, FIRST_BLOCK), (FIRST_BLOCK, 2 * FIRST_BLOCK)]
             for k in range(120, 3000):
-                arrivals_at(spec, 6, float(k), 1.0)
+                arrivals_at(spec, 6, k, 1.0)
         assert [call.args[3:] for call in fill.call_args_list] \
             == [(0, 64), (64, 128), (192, 256), (448, 512), (960, 1024),
                 (1984, 1024)]
@@ -255,8 +256,8 @@ def test_blocks_match_the_per_tick_formula(kind, ramps, dt, noise_std, seeds,
     for k in [NOISE_BLOCK - 1, NOISE_BLOCK, *ticks]:
         for spec in specs:
             for seed in seeds:
-                got = arrivals_at(spec, seed, k * dt, dt)
-                assert got == arrivals_oracle(spec, seed, k * dt, dt), (k, seed)
+                got = arrivals_at(spec, seed, k, dt)
+                assert got == arrivals_oracle(spec, seed, k, dt), (k, seed)
                 if not noise_std:
                     assert got <= peak_arrivals(spec, dt) + 0.5, k
 
@@ -291,7 +292,7 @@ class TestNoiseOracle:
                  *range(5 * NOISE_BLOCK - 3, 5 * NOISE_BLOCK + 3), 7, 86_399]
         for tick in ticks:
             for seed in seeds:
-                got = arrivals_at(self.SPEC, seed, float(tick), 1.0)
+                got = arrivals_at(self.SPEC, seed, tick, 1.0)
                 want = self.SPEC.base_rate * self.oracle(seed, tick)
                 assert got == round(want), (seed, tick)
 
@@ -299,7 +300,7 @@ class TestNoiseOracle:
         dt = 0.1
         for k in (0, 3, NOISE_BLOCK, 86_399):
             want = self.SPEC.base_rate * dt * self.oracle(9, k)
-            assert arrivals_at(self.SPEC, 9, k * dt, dt) == round(want)
+            assert arrivals_at(self.SPEC, 9, k, dt) == round(want)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seed_words_equal_seed_sequence_state(self, seed):
