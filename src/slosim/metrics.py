@@ -136,16 +136,14 @@ def scale_events(trace: RunTrace) -> list[tuple[float, int]]:
     return events
 
 
-def stability_metrics(trace: RunTrace,
-                      window: float = OSCILLATION_WINDOW
-                      ) -> tuple[int, int, int]:
+def stability_metrics(trace: RunTrace) -> tuple[int, int, int]:
     if not trace.arrivals:
         raise ValueError("empty trace")
     events = scale_events(trace)
     churn = sum(abs(d) for _, d in events)
     oscillations = 0
     for (t_prev, d_prev), (t_cur, d_cur) in zip(events, events[1:]):
-        if d_prev * d_cur < 0 and t_cur - t_prev <= window:
+        if d_prev * d_cur < 0 and t_cur - t_prev <= OSCILLATION_WINDOW:
             oscillations += 1
     return len(events), oscillations, churn
 

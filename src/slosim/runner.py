@@ -152,15 +152,13 @@ def _record_dict(rec: DecisionRecord) -> dict:
     return out
 
 
-def _provision_nodes(cluster: Cluster, wanted: int):
-    """Provision up to `wanted` nodes beyond those already on the way.
-
-    Nothing frees a node slot in between, so after the first refusal every
-    further request would be refused too.
-    """
-    for _ in range(wanted - len(cluster.state.provisioning)):
-        if not cluster.provision_node():
-            break
+def _provision_nodes(cluster: Cluster, pods: int):
+    """Request, in one call, the nodes `pods` pods fill less those already
+    on their way."""
+    s = cluster.state
+    wanted = cluster.nodes_for(pods) - (s.live_nodes - s.active_nodes)
+    if wanted > 0:
+        cluster.provision_node(wanted)
 
 
 def run(scn: ScenarioConfig, controller_kind: str,
@@ -201,9 +199,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
             # pods, so the count `step` returned is read again only here
             ready = state.ready_replicas
             if rec.action.node_capacity_hint:
-                wanted = math.ceil(rec.action.node_capacity_hint
-                                   / scn.cluster.node_capacity)
-                _provision_nodes(cluster, wanted)
+                _provision_nodes(cluster, rec.action.node_capacity_hint)
 
         if not controller.emits_node_hints:
             # simulated cluster autoscaler: react to persistent pending pods
@@ -212,9 +208,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
                 if pending_since is None:
                     pending_since = now
                 elif now - pending_since >= PENDING_TRIGGER_DELAY:
-                    wanted = math.ceil(state.pending_replicas
-                                       / scn.cluster.node_capacity)
-                    _provision_nodes(cluster, wanted)
+                    _provision_nodes(cluster, state.pending_replicas)
                     pending_since = now
             else:
                 pending_since = None

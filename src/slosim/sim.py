@@ -21,12 +21,15 @@ ids fall in the order the nodes empty, and fresh ids rise with activation
 time: the lowest idle id is the newest emptied node if there is one, and
 else the oldest fresh one. The state keeps only what this leaves open: the
 placed pod count, the number of active nodes, the idle-since times of the
-emptied and of the fresh nodes, and the activation times of the nodes still
-being provisioned. Pods placed at one time are interchangeable, and so are
-nodes of one kind that went idle at one time, so both are kept as cohorts:
-a time and a count. A pod cohort's time is when its pods are ready, and the
-pods still starting are the cohorts at the tail whose time is ahead.
-`Cluster.check_invariants` checks every stored fact on every tick.
+emptied and of the fresh nodes, and the activation times of the nodes on
+their way. Pods placed at one time are interchangeable, and so are nodes of
+one kind that went idle at one time, and nodes requested at one time, so
+all of them are kept as cohorts: a time and a count. A pod cohort's time is
+when its pods are ready, and the pods still starting are the cohorts at the
+tail whose time is ahead. A node request is one call that adds at most one
+cohort, and `Cluster.nodes_for` is the one rule for how many nodes hold a
+number of pods. `Cluster.check_invariants` checks every stored fact on
+every tick.
 
 Counting the ready pods walks the starting cohorts, so a tick does it once:
 `Cluster.step` returns the count it served with, and `observe_latency` is a
@@ -61,7 +64,8 @@ class ServiceModel:
 @dataclass
 class Cohort:
     """`count` interchangeable items that share the time `t`: pods placed
-    together and ready at `t`, or nodes of one kind that went idle at `t`."""
+    together and ready at `t`, nodes of one kind that went idle at `t`, or
+    nodes requested together that activate at `t`."""
 
     t: float
     count: int
@@ -117,10 +121,11 @@ class ClusterState:
     nodes that have held none, by activation time, oldest first and so
     lowest id first; the left end fills first. A fill takes whole cohorts
     and then part of one. Both retire whole cohorts from the left, and a
-    retired node is gone for good. Adjacent cohorts of one deque never
-    share a time, so the times strictly increase along it. `provisioning`
-    holds the activation times of the nodes on their way, in order, and
-    `time` is `ticks` steps of the fixed tick.
+    retired node is gone for good. `provisioning` holds the cohorts of
+    nodes on their way, by activation time, oldest first; a step activates
+    whole cohorts from the left. Adjacent cohorts of one deque never share
+    a time, so the times strictly increase along it. `time` is `ticks`
+    steps of the fixed tick.
     """
 
     # the fixed limits this state evolves under; the cluster and the
@@ -135,14 +140,14 @@ class ClusterState:
     cumulative_arrived: float = 0.0
     total_replicas: int = field(default=0, init=False)
     active_nodes: int = field(default=0, init=False)
-    provisioning: deque[float] = field(default_factory=deque, init=False)
+    provisioning: deque[Cohort] = field(default_factory=deque, init=False)
     emptied: deque[Cohort] = field(default_factory=deque, init=False)
     fresh: deque[Cohort] = field(default_factory=deque, init=False)
 
     @property
     def live_nodes(self) -> int:
-        """Active nodes plus the ones still being provisioned."""
-        return self.active_nodes + len(self.provisioning)
+        """Active nodes plus the ones on their way."""
+        return self.active_nodes + sum(c.count for c in self.provisioning)
 
     @property
     def free_slots(self) -> int:
@@ -201,18 +206,14 @@ class Cluster:
 
     # -- internal helpers -------------------------------------------------
 
-    def _nodes_for(self, pods: int) -> int:
-        """How many busy nodes `pods` placed pods fill."""
-        return -(-pods // self.state.params.node_capacity)
-
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
         s = self.state
         placed = min(count, s.free_slots)
         if placed <= 0:
             return 0
-        filled = (self._nodes_for(s.total_replicas + placed)
-                  - self._nodes_for(s.total_replicas))
+        filled = (self.nodes_for(s.total_replicas + placed)
+                  - self.nodes_for(s.total_replicas))
         s.total_replicas += placed
         _add_cohort(s.replicas, ready_at, placed)
         # the pods fill the last busy node, then the lowest idle ids: the
@@ -245,7 +246,7 @@ class Cluster:
         drop_pending = min(count, s.pending_replicas)
         s.pending_replicas -= drop_pending
         count -= drop_pending
-        busy = self._nodes_for(s.total_replicas)
+        busy = self.nodes_for(s.total_replicas)
         s.total_replicas -= count
         reps = s.replicas
         while count > 0:
@@ -257,7 +258,7 @@ class Cluster:
             reps.pop()
         # the newest pods sit in the highest slots, so the top busy nodes
         # empty, each below every node emptied before
-        freed = busy - self._nodes_for(s.total_replicas)
+        freed = busy - self.nodes_for(s.total_replicas)
         if freed:
             _add_cohort(s.emptied, s.time, freed)
 
@@ -267,9 +268,10 @@ class Cluster:
         """Advance one tick of the run's fixed `dt` and return the number of
         ready pods it served with.
 
-        In order: activate the nodes whose provisioning is done, place
-        pending pods, serve the backlog and `arrivals` with the ready pods,
-        and retire the idle nodes that timed out. Retiring touches no pod,
+        In order: activate the node cohorts whose provisioning is done,
+        place pending pods, serve the backlog and `arrivals` with the ready
+        pods, and retire the idle nodes that timed out. Arrivals summed past
+        the float range raise `OverflowError`. Retiring touches no pod,
         so the count still holds when `step` returns; before the next
         `step`, only `schedule` changes it.
         """
@@ -282,14 +284,11 @@ class Cluster:
         s.ticks += 1
         s.time = float(s.ticks * dt)
 
-        # node_provision_delay is constant, so activation times never
-        # decrease along the queue
+        # node_provision_delay is constant, so activation times increase
+        # along the deque and the first cohort still on its way ends the scan
         provisioning = s.provisioning
-        activated = 0
-        while provisioning and provisioning[0] <= s.time:
-            provisioning.popleft()
-            activated += 1
-        if activated:
+        while provisioning and provisioning[0].t <= s.time:
+            activated = provisioning.popleft().count
             _add_cohort(s.fresh, s.time, activated)
             s.active_nodes += activated
         self._discharge_pending()
@@ -301,6 +300,9 @@ class Cluster:
         s.queue_depth = offered - served
         s.cumulative_arrived += arrivals
         s.cumulative_served += served
+        if s.cumulative_arrived == math.inf:
+            raise OverflowError(f"arrivals summed to t={(s.ticks - 1) * dt!r}"
+                                " pass the float range")
 
         # nodes join either deque at the right with the current time, so
         # the times increase along it and the first cohort not timed out
@@ -323,13 +325,20 @@ class Cluster:
         elif desired_replicas < current:
             self._remove_replicas(current - desired_replicas)
 
-    def provision_node(self) -> bool:
-        """Request one extra node; refused once max_nodes is reached."""
+    def nodes_for(self, pods: int) -> int:
+        """How many nodes `pods` pods fill: the exact integer ceiling."""
+        return -(-pods // self.state.params.node_capacity)
+
+    def provision_node(self, count: int) -> int:
+        """Request `count` extra nodes as one cohort, granted up to
+        max_nodes; returns how many were granted, 0 when refused."""
         s = self.state
-        if s.live_nodes >= s.params.max_nodes:
-            return False
-        s.provisioning.append(s.time + s.params.node_provision_delay)
-        return True
+        granted = min(count, s.params.max_nodes - s.live_nodes)
+        if granted <= 0:
+            return 0
+        _add_cohort(s.provisioning, s.time + s.params.node_provision_delay,
+                    granted)
+        return granted
 
     # -- invariant checks (used by tests and the run loop) -----------------
 
@@ -359,7 +368,7 @@ class Cluster:
             raise AssertionError("replica counter drifted")
 
         # each deque holds non-empty cohorts in the strict time order its
-        # scan and the fill order rely on, so no two adjacent cohorts share
+        # scans and the fill order rely on, so no two adjacent cohorts share
         # a time
         idle = 0
         prev_t = -math.inf
@@ -380,18 +389,25 @@ class Cluster:
                 raise AssertionError("fresh nodes out of order")
             prev_t = t
             idle += count
+        incoming = 0
+        prev_t = -math.inf
+        for cohort in s.provisioning:
+            t, count = cohort.t, cohort.count
+            if not count > 0:
+                raise AssertionError("empty provisioning run")
+            if not t > prev_t:
+                raise AssertionError("provisioning nodes out of order")
+            prev_t = t
+            incoming += count
 
         # the prefix rule: every active node is busy, with exactly enough
         # room for the pods, or idle in exactly one cohort
-        if self._nodes_for(total) + idle != s.active_nodes:
+        if self.nodes_for(total) + idle != s.active_nodes:
             raise AssertionError("node count does not fit the busy and idle"
                                  " nodes")
         # every placement discharges pending pods into the free slots first
         if s.pending_replicas and s.free_slots > 0:
             raise AssertionError("pending pods while a slot is free")
 
-        provisioning = list(s.provisioning)
-        if provisioning != sorted(provisioning):
-            raise AssertionError("provisioning nodes out of order")
-        if s.live_nodes > s.params.max_nodes:
+        if s.active_nodes + incoming > s.params.max_nodes:
             raise AssertionError("more live nodes than max_nodes")

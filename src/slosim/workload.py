@@ -135,7 +135,7 @@ def _batch_bulk(spec: WorkloadSpec, k: int, dt: float) -> float:
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
 FIRST_BLOCK = 64    # ticks in the block of tick 0; each next one doubles
 NOISE_BLOCK = 1024  # ticks in each block once they stop doubling
@@ -143,44 +143,47 @@ NOISE_BLOCK = 1024  # ticks in each block once they stop doubling
 _DOUBLING = NOISE_BLOCK - FIRST_BLOCK
 
 
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    """`init * mult**j mod 2**32` for j in [0, n], as a uint32 column."""
+    return np.array([[init * pow(mult, j, 2**32) & 0xFFFFFFFF]
+                     for j in range(n + 1)], np.uint32)
+
+
+# numpy's hashmix calls, in order, xor with row j of a table and multiply
+# by row j + 1: 4 for the pool, 3 for each source word, 8 for the output
+_HASH_A = _powers(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_B = _powers(_INIT_B, _MULT_B, 2 * _POOL)
+# the rows of the pool each source word mixes into
+_OTHERS = [np.arange(_POOL) != src for src in range(_POOL)]
+
+
+def _hash(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix of `words`, row i as the call that uses `consts[i]`
+    and `consts[i + 1]`; a single row of words serves every call."""
+    value = (words ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
 def _seed_words(seed: int, ticks: np.ndarray) -> np.ndarray:
     """`SeedSequence([seed, tick]).generate_state(4, np.uint64)` for each
     uint64 tick in `ticks`, one row per tick."""
-    u32 = np.uint32
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ u32(const)
-        const = const * _MULT_A & 0xFFFFFFFF
-        value = value * u32(const)
-        return value ^ (value >> u32(16))
-
-    def mix(x, y):
-        value = u32(_MIX_L) * x - u32(_MIX_R) * y
-        return value ^ (value >> u32(16))
-
     # numpy's entropy is [seed, tick] as 32-bit words (a tick of 2**32 or
     # more takes two, low first); the pool of four is padded with zeros
-    entropy = (np.full(ticks.shape, seed, u32),
-               (ticks & 0xFFFFFFFF).astype(u32),
-               (ticks >> 32).astype(u32),
-               np.zeros(ticks.shape, u32))
-    pool = [hashmix(word) for word in entropy]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    state = np.empty((len(ticks), 2 * _POOL), u32)
-    const = _INIT_B
-    for i in range(2 * _POOL):
-        value = pool[i % _POOL] ^ u32(const)
-        const = const * _MULT_B & 0xFFFFFFFF
-        value = value * u32(const)
-        state[:, i] = value ^ (value >> u32(16))
+    pool = np.zeros((_POOL, len(ticks)), np.uint32)
+    pool[0] = seed
+    pool[1] = ticks & 0xFFFFFFFF
+    pool[2] = ticks >> 32
+    pool = _hash(pool, _HASH_A[:_POOL + 1])
+    # a source word changes only the other three, so it is hashed once for
+    # each and mixed into all three at once
+    for src, others in enumerate(_OTHERS):
+        call = _POOL + 3 * src
+        value = (_MIX_L * pool[others]
+                 - _MIX_R * _hash(pool[src], _HASH_A[call:call + 4]))
+        pool[others] = value ^ (value >> 16)
+    state = _hash(np.tile(pool, (2, 1)), _HASH_B)
     # numpy pairs the 32-bit words little-endian first on every host
-    pairs = state.astype("<u4", copy=False).view("<u8")
+    pairs = state.T.astype("<u4", order="C").view("<u8")
     return pairs.astype(np.uint64, copy=False)
 
 

@@ -180,7 +180,7 @@ def test_criterion_5_cooldown_blocks_scale_down(all_runs, scenarios):
 cluster_ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 30)),
-        st.tuples(st.just("provision"), st.just(0)),
+        st.tuples(st.just("provision"), st.integers(1, 8)),
         st.tuples(st.just("step"), st.integers(0, 300)),
     ),
     min_size=1, max_size=8,
@@ -199,7 +199,7 @@ def _run_ops(ops, nodes, capacity, initial):
         if op == "schedule":
             cluster.schedule(arg)
         elif op == "provision":
-            cluster.provision_node()
+            cluster.provision_node(arg)
         else:
             cluster.step(arg, MODEL, 1.0)
         states.append(cluster.state)

@@ -306,6 +306,24 @@ class TestValidateCommand:
         assert main(["run", str(path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_OK
 
+    def test_noise_summed_past_the_float_range_is_named(self, tmp_path,
+                                                        capsys):
+        """Each tick's count is finite, but two noisy ticks sum past the
+        float range: the run names the overflow, not a broken invariant."""
+        doc = bundled_doc("bursty")
+        doc.update(horizon=1.5, tick=0.5, seed=3,
+                   controllers=["default_hpa", "proposed"])
+        doc["controller"]["control_interval"] = 0.5
+        doc["workload"].update(base_rate=1e308 / 1.01, burst_amplitude=1,
+                               noise_std=0.3)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "arrivals summed to t=1.0 pass the float range" in err
+        assert "invariant breach" not in err
+
     def test_queue_driven_without_ramps_runs_at_its_base_rate(self,
                                                               tmp_path):
         doc = dict(QUICK, workload={"kind": "queue_driven", "base_rate": 5})

@@ -195,19 +195,40 @@ class TestSharedArrivals:
 
 
 class TestProvisionNodes:
-    def test_stops_at_the_first_refusal(self, monkeypatch):
+    def test_grants_what_max_nodes_allows_in_one_call(self, monkeypatch):
         cluster = make_cluster(nodes=2, max_nodes=3)
         calls = []
         original = Cluster.provision_node
 
-        def counted(self):
-            calls.append(original(self))
+        def counted(self, count):
+            calls.append(original(self, count))
             return calls[-1]
 
         monkeypatch.setattr(Cluster, "provision_node", counted)
-        runner._provision_nodes(cluster, 1000)
-        assert calls == [True, False]
+        runner._provision_nodes(cluster, 1000 * 8)  # 1000 nodes' worth
+        assert calls == [1]
         assert cluster.state.live_nodes == 3
+
+    def test_ten_thousand_nodes_are_one_call_and_one_cohort(self,
+                                                            monkeypatch):
+        cluster = make_cluster(nodes=2, node_capacity=1, max_nodes=10**5,
+                               node_provision_delay=60.0)
+        calls = []
+        original = Cluster.provision_node
+
+        def counted(self, count):
+            calls.append(count)
+            return original(self, count)
+
+        monkeypatch.setattr(Cluster, "provision_node", counted)
+        runner._provision_nodes(cluster, 10**4)
+        assert calls == [10**4]
+        assert [(c.t, c.count) for c in cluster.state.provisioning] == \
+            [(60.0, 10**4)]
+        # the nodes on their way count against the next request
+        runner._provision_nodes(cluster, 10**4 + 5)
+        assert calls == [10**4, 5]
+        assert cluster.state.live_nodes == 2 + 10**4 + 5
 
     def test_one_refused_request_per_trigger_at_max_nodes(self, monkeypatch):
         """bundled `bursty` with its fleet held at `initial_nodes`: every
@@ -219,20 +240,57 @@ class TestProvisionNodes:
         provision_nodes, provision_node = (runner._provision_nodes,
                                            Cluster.provision_node)
 
-        def counted_nodes(cluster, n):
-            wanted.append(n - len(cluster.state.provisioning))
-            return provision_nodes(cluster, n)
+        def counted_nodes(cluster, pods):
+            s = cluster.state
+            wanted.append(cluster.nodes_for(pods)
+                          - (s.live_nodes - s.active_nodes))
+            return provision_nodes(cluster, pods)
 
-        def counted_node(self):
-            ok = provision_node(self)
-            refused.append(not ok)
-            return ok
+        def counted_node(self, count):
+            granted = provision_node(self, count)
+            refused.append(granted == 0)
+            return granted
 
         monkeypatch.setattr(runner, "_provision_nodes", counted_nodes)
         monkeypatch.setattr(Cluster, "provision_node", counted_node)
         run(scn, "default_hpa")
         assert max(wanted) > 1
         assert refused == [True] * len(wanted)
+
+    @pytest.mark.parametrize("controller", ["default_hpa", "proposed"])
+    def test_each_trigger_makes_at_most_one_call(self, monkeypatch,
+                                                 controller):
+        """Single-slot nodes and room for 10**5 of them: both triggers ask
+        for thousands of nodes, each in one call that adds one cohort,
+        however many nodes it grants."""
+        doc = bundled_doc("bursty")
+        doc.update(horizon=600)
+        doc["workload"]["base_rate"] = 1e5
+        doc["cluster"].update(node_capacity=1, max_nodes=10**5)
+        doc["controller"].update(max_replicas=10**6, max_step_up=10**6,
+                                 max_step_down=10**6)
+        triggers, requests, added = [], [], []
+        provision_nodes, provision_node = (runner._provision_nodes,
+                                           Cluster.provision_node)
+
+        def counted_nodes(cluster, pods):
+            triggers.append(pods)
+            return provision_nodes(cluster, pods)
+
+        def counted_node(self, count):
+            requests.append(count)
+            before = len(self.state.provisioning)
+            granted = provision_node(self, count)
+            added.append(len(self.state.provisioning) - before)
+            return granted
+
+        monkeypatch.setattr(runner, "_provision_nodes", counted_nodes)
+        monkeypatch.setattr(Cluster, "provision_node", counted_node)
+        trace = run(parse_scenario(doc), controller)
+        assert len(requests) <= len(triggers)
+        assert max(requests) > 1000
+        assert set(added) <= {0, 1} and 1 in added  # 0 when refused
+        assert max(trace.nodes_active) > 1000
 
 
 @contextlib.contextmanager

@@ -70,7 +70,7 @@ class TestStep:
                          pod_start_delay=0.0, node_provision_delay=1.0)
         c.schedule(4)
         assert c.state.pending_replicas == 2
-        assert c.provision_node()
+        assert c.provision_node(1) == 1
         assert c.step(50, MODEL, 1.0) == 4
         assert c.state.cumulative_served == 40
 
@@ -242,7 +242,7 @@ class TestSchedule:
             c.step(0, MODEL, 1.0)
         assert not c.state.fresh  # node 1 retired at t=3
         assert c.state.active_nodes == 1
-        c.provision_node()
+        c.provision_node(1)
         c.schedule(1)  # node 0 has a free slot
         c.step(0, MODEL, 1.0)
         assert runs(c.state.fresh) == [(4.0, 1)]  # node 2, not node 1 again
@@ -255,7 +255,7 @@ class TestSchedule:
     def test_fresh_nodes_fill_oldest_first(self):
         c = make_cluster(ready=0, nodes=1, node_capacity=1,
                          node_provision_delay=1.0)
-        c.provision_node()
+        c.provision_node(1)
         c.step(0, MODEL, 1.0)
         assert runs(c.state.fresh) == [(0.0, 1), (1.0, 1)]  # nodes 0 and 1
         c.schedule(1)  # node 0, the lowest id, has been idle longest
@@ -304,8 +304,8 @@ class TestIdleRuns:
             c.schedule(desired)
             ref.schedule(desired)
 
-        assert c.provision_node() and ref.provision_node()
-        assert c.provision_node() and ref.provision_node()
+        assert c.provision_node(2) == 2
+        assert ref.provision_node() and ref.provision_node()
         step()
         assert runs(c.state.fresh) == [(0.0, 3), (1.0, 2)]
         schedule(2)  # nodes 0 and 1, two of the oldest fresh run
@@ -352,7 +352,8 @@ class TestIdleRuns:
 
     def test_activations_in_one_tick_merge_into_one_fresh_run(self):
         c = make_cluster(ready=0, nodes=1, node_provision_delay=1.0)
-        assert c.provision_node() and c.provision_node()
+        assert c.provision_node(1) == 1 and c.provision_node(1) == 1
+        assert runs(c.state.provisioning) == [(1.0, 2)]
         c.step(0, MODEL, 1.0)
         assert runs(c.state.fresh) == [(0.0, 1), (1.0, 2)]
         assert c.state.active_nodes == 3
@@ -370,7 +371,7 @@ class TestIdleRuns:
 class TestProvisionNode:
     def test_node_activates_after_delay(self):
         c = make_cluster(ready=0, nodes=1, node_provision_delay=60.0)
-        c.provision_node()
+        c.provision_node(1)
         assert c.state.active_nodes == 1
         for _ in range(60):
             c.step(0, MODEL, 1.0)
@@ -381,7 +382,7 @@ class TestProvisionNode:
                          node_provision_delay=10.0)
         c.schedule(8)
         assert c.state.pending_replicas == 4
-        c.provision_node()
+        c.provision_node(1)
         for _ in range(10):
             c.step(0, MODEL, 1.0)
         assert c.state.pending_replicas == 0
@@ -389,16 +390,34 @@ class TestProvisionNode:
 
     def test_refused_at_max_nodes(self):
         c = make_cluster(ready=0, nodes=2, max_nodes=2)
-        assert not c.provision_node()
+        assert c.provision_node(1) == 0
         assert c.state.live_nodes == 2
         assert not c.state.provisioning
+
+    def test_grants_up_to_max_nodes_as_one_cohort(self):
+        c = make_cluster(ready=0, nodes=2, max_nodes=10**4,
+                         node_provision_delay=3.0)
+        assert c.provision_node(10**6) == 10**4 - 2
+        assert runs(c.state.provisioning) == [(3.0, 10**4 - 2)]
+        assert c.state.live_nodes == 10**4
+        for _ in range(3):
+            c.step(0, MODEL, 1.0)
+        assert not c.state.provisioning
+        assert runs(c.state.fresh) == [(0.0, 2), (3.0, 10**4 - 2)]
+        c.check_invariants()
+
+    def test_nodes_for_is_the_exact_ceiling(self):
+        # a float ceiling of the quotient gives 8192 here
+        c = Cluster(ClusterParams(node_capacity=2**40))
+        assert c.nodes_for(2**53 + 1) == 8193
+        assert c.nodes_for(2**40) == 1 and c.nodes_for(0) == 0
 
 
 # Random operation sequences; every intermediate state must stay sound.
 op_strategy = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 40)),
-        st.tuples(st.just("provision"), st.integers(1, 3)),
+        st.tuples(st.just("provision"), st.integers(1, 12)),
         st.tuples(st.just("step"), st.integers(0, 400)),
     ),
     min_size=1, max_size=14,
@@ -424,8 +443,8 @@ def test_random_operations_keep_cluster_sound(ops, nodes, capacity, max_nodes,
         if op == "schedule":
             cluster.schedule(arg)
         elif op == "provision":
-            for _ in range(arg):
-                cluster.provision_node()
+            room = params.max_nodes - cluster.state.live_nodes
+            assert cluster.provision_node(arg) == min(arg, room)
         else:
             cluster.step(arg, MODEL, 1.0)
             # backlog conservation holds at every tick boundary
@@ -447,7 +466,7 @@ diff_ops = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), st.integers(0, 30), st.just(0),
                   st.booleans()),
-        st.tuples(st.just("provision"), st.integers(1, 3), st.just(0),
+        st.tuples(st.just("provision"), st.integers(1, 8), st.just(0),
                   st.booleans()),
         st.tuples(st.just("step"), st.integers(1, 30), st.integers(0, 200),
                   st.booleans()),
@@ -478,6 +497,9 @@ def assert_same(cluster, ref, look):
               for _ in range(run.count)]
     nodes += [(0, run.t) for run in s.fresh for _ in range(run.count)]
     assert nodes == [(n.used, n.idle_since) for n in ref.nodes if n.active]
+    # and the nodes on their way, by activation time
+    assert [run.t for run in s.provisioning for _ in range(run.count)] == \
+        [n.provisioned_at for n in ref.nodes if not n.active and not n.retired]
     cluster.check_invariants()
 
 
@@ -509,8 +531,8 @@ def test_cohorts_match_per_pod_reference(ops, nodes, extra_nodes, capacity,
             cluster.schedule(arg)
             ref.schedule(arg)
         elif op == "provision":
-            for _ in range(arg):
-                assert cluster.provision_node() == ref.provision_node()
+            granted = sum(ref.provision_node() for _ in range(arg))
+            assert cluster.provision_node(arg) == granted
         else:
             for _ in range(arg):
                 ready = cluster.step(arrivals, MODEL, dt)
@@ -575,7 +597,11 @@ def idle_node_with_cohorts(s):
 
 
 def misorder_provisioning(s):
-    s.provisioning.extend((s.time + 2.0, s.time + 1.0))
+    s.provisioning.extend((Cohort(s.time + 2.0, 1), Cohort(s.time + 1.0, 1)))
+
+
+def empty_provisioning_run(s):
+    s.provisioning.append(Cohort(s.time + 1.0, 0))
 
 
 def negative_queue(s):
@@ -621,8 +647,9 @@ def pend_beside_a_free_node(s):
 
 
 def exceed_max_nodes(s):
-    last = s.provisioning[-1] if s.provisioning else s.time
-    s.provisioning.extend([last] * (s.params.max_nodes - s.live_nodes + 1))
+    last = s.provisioning[-1].t if s.provisioning else s.time
+    s.provisioning.append(Cohort(last + 1.0,
+                                 s.params.max_nodes - s.live_nodes + 1))
 
 
 NODE_COUNT = "node count does not fit the busy and idle nodes"
@@ -638,6 +665,7 @@ CORRUPTIONS = [
     (track_busy_node_as_idle, NODE_COUNT),
     (keep_idle_node_busy, NODE_COUNT),
     (misorder_provisioning, "provisioning nodes out of order"),
+    (empty_provisioning_run, "empty provisioning run"),
     (negative_queue, "negative queue"),
     (negative_pending, "negative pending"),
     (untrack_empty_node, NODE_COUNT),
@@ -675,7 +703,7 @@ def healthy_cluster():
     c = make_cluster(ready=6, nodes=2, node_capacity=4, pod_start_delay=5.0)
     c.step(0, MODEL, 1.0)
     c.schedule(8)
-    c.provision_node()
+    c.provision_node(1)
     assert c.state.ready_replicas == 6
     return c
 
