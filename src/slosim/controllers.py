@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .signals import ForecastState, SignalSnapshot, forecast_horizon, forecast_update
-from .sim import ClusterState
+from .sim import ClusterState, nodes_for
 
 CONTROLLER_KINDS = ("default_hpa", "tuned_hpa", "hpa_vpa", "proposed")
 
@@ -179,20 +179,20 @@ def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
                              keep=max(MIN_CANDIDATE_RETENTION,
                                       cfg.scale_up_stabilization,
                                       cfg.scale_down_stabilization))
+    # each window below ends at `now` and is >= 0 long, so it holds the
+    # candidate just recorded and is never empty
     value = candidate
 
     if value < current and now - history.last_scale_up_t < cfg.cooldown_after_scale_up:
         value = current
         constraints.append(COOLDOWN_HOLD)
     elif value > current:
-        window = history.window(now, cfg.scale_up_stabilization)
-        damped = min(window) if window else value
+        damped = min(history.window(now, cfg.scale_up_stabilization))
         if damped != value:
             constraints.append(STABILIZATION_HOLD)
         value = max(damped, current)  # never turn a scale-up into a scale-down
     elif value < current:
-        window = history.window(now, cfg.scale_down_stabilization)
-        damped = max(window) if window else value
+        damped = max(history.window(now, cfg.scale_down_stabilization))
         if damped != value:
             constraints.append(STABILIZATION_HOLD)
         value = min(damped, current)
@@ -221,7 +221,7 @@ def coordinate_actuation(target: int, cluster: ClusterState,
         return None, ""
     if cluster.live_nodes >= cluster.params.max_nodes:
         return None, "capacity shortfall but node limit reached"
-    whole_nodes = math.ceil(shortfall / node_capacity)
+    whole_nodes = nodes_for(shortfall, node_capacity)
     return whole_nodes * node_capacity, f"hinting {whole_nodes} node(s)"
 
 

@@ -13,7 +13,7 @@ from . import workload
 from .controllers import DecisionRecord, make_controller
 from .scenario import ScenarioConfig
 from .signals import SignalSnapshot, sample
-from .sim import Cluster
+from .sim import Cluster, nodes_for
 
 # how long pending replicas must persist before the simulated node autoscaler
 # reacts for controllers that emit no capacity hints (baseline behavior)
@@ -155,8 +155,8 @@ def _record_dict(rec: DecisionRecord) -> dict:
 def _provision_nodes(cluster: Cluster, pods: int):
     """Request, in one call, the nodes `pods` pods fill less those already
     on their way."""
-    s = cluster.state
-    wanted = cluster.nodes_for(pods) - (s.live_nodes - s.active_nodes)
+    wanted = (nodes_for(pods, cluster.params.node_capacity)
+              - (cluster.live_nodes - cluster.active_nodes))
     if wanted > 0:
         cluster.provision_node(wanted)
 
@@ -178,37 +178,36 @@ def run(scn: ScenarioConfig, controller_kind: str,
     prev_latency: float | None = None
     pending_since: float | None = None
 
-    state = cluster.state
     for k in range(n_ticks):
         arrivals = workload.arrivals_at(scn.workload, seed, k, scn.tick)
         ready = cluster.step(arrivals, scn.service, scn.tick)
         rate = arrivals / scn.tick
-        latency, util = sample(ready, state.queue_depth, rate, scn.service,
+        latency, util = sample(ready, cluster.queue_depth, rate, scn.service,
                                prev_latency)
         prev_latency = latency
 
         rec = None
         if (k + 1) % interval_ticks == 0:
             snap = SignalSnapshot(
-                t=state.time, latency=latency, queue=state.queue_depth,
-                utilization=util, pending=state.pending_replicas,
+                t=cluster.time, latency=latency, queue=cluster.queue_depth,
+                utilization=util, pending=cluster.pending_replicas,
                 arrival_rate=rate, ready_replicas=ready)
-            rec = controller.decide(snap, state)
+            rec = controller.decide(snap, cluster)
             cluster.schedule(rec.action.target_replicas)
             # schedule is the only call in a tick that places or removes
             # pods, so the count `step` returned is read again only here
-            ready = state.ready_replicas
+            ready = cluster.ready_replicas
             if rec.action.node_capacity_hint:
                 _provision_nodes(cluster, rec.action.node_capacity_hint)
 
         if not controller.emits_node_hints:
             # simulated cluster autoscaler: react to persistent pending pods
-            now = state.time
-            if state.pending_replicas > 0:
+            now = cluster.time
+            if cluster.pending_replicas > 0:
                 if pending_since is None:
                     pending_since = now
                 elif now - pending_since >= PENDING_TRIGGER_DELAY:
-                    _provision_nodes(cluster, state.pending_replicas)
+                    _provision_nodes(cluster, cluster.pending_replicas)
                     pending_since = now
             else:
                 pending_since = None
@@ -219,8 +218,8 @@ def run(scn: ScenarioConfig, controller_kind: str,
             raise SimulationError(
                 f"invariant breach at t={k * scn.tick}: {exc}") from exc
 
-        trace.append(arrivals, ready, state.total_replicas - ready,
-                     state.pending_replicas, state.active_nodes,
-                     state.queue_depth, latency, util, rec)
+        trace.append(arrivals, ready, cluster.total_replicas - ready,
+                     cluster.pending_replicas, cluster.active_nodes,
+                     cluster.queue_depth, latency, util, rec)
 
     return trace

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from importlib import resources
 from typing import get_type_hints
 
 from .controllers import CONTROLLER_KINDS, ControllerConfig
@@ -166,12 +165,6 @@ def parse_scenario(doc: dict) -> ScenarioConfig:
     if body.pop("schema", None) != SCHEMA_VERSION:
         raise ConfigError(f"schema: must be {SCHEMA_VERSION}")
     return _build("document", body, ScenarioConfig)
-
-
-def bundled_scenario(name: str) -> ScenarioConfig:
-    """Load one of the scenarios shipped with the package."""
-    text = (resources.files("slosim") / "scenarios" / f"{name}.json").read_text()
-    return parse_scenario(json.loads(text))
 
 
 def load_scenario(path) -> ScenarioConfig:

@@ -8,9 +8,9 @@ Nothing here is random; all variation enters through the workload generator.
 Placement fills active nodes first-fit in id order, scale-down removes the
 newest pods first, and every node has the same number of slots. So the
 occupied slots always form a prefix of the active nodes in id order: the
-busy nodes are the `ceil(total_replicas / node_capacity)` lowest active ids,
-all of them full but the last, and every idle node has a higher id than
-every busy one.
+busy nodes are the `nodes_for(total_replicas, node_capacity)` lowest
+active ids, all of them full but the last, and every idle node has a higher
+id than every busy one.
 
 Which idle node fills first needs no ids either. Ids are handed out as
 nodes activate, and an idle node has either held pods and emptied, or held
@@ -27,9 +27,13 @@ one kind that went idle at one time, and nodes requested at one time, so
 all of them are kept as cohorts: a time and a count. A pod cohort's time is
 when its pods are ready, and the pods still starting are the cohorts at the
 tail whose time is ahead. A node request is one call that adds at most one
-cohort, and `Cluster.nodes_for` is the one rule for how many nodes hold a
-number of pods. `Cluster.check_invariants` checks every stored fact on
-every tick.
+cohort, and `nodes_for` is the one rule for how many nodes hold a number
+of pods. `Cluster.check_invariants` checks every stored fact on every tick.
+
+The cluster is one object: `ClusterState` holds the data and the counts
+derived from it, and `Cluster` is a `ClusterState` with the operations
+that step it. The run loop hands the cluster itself to the controllers,
+which read it as a `ClusterState`.
 
 Counting the ready pods walks the starting cohorts, so a tick does it once:
 `Cluster.step` returns the count it served with, and `observe_latency` is a
@@ -100,9 +104,13 @@ class ClusterParams:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass
+@dataclass(eq=False)
 class ClusterState:
     """Everything a tick reads: cohorts, node counts and idle times, counters.
+
+    The base of `Cluster`, which adds the operations; controllers read a
+    cluster through this type. Equality is identity, so a cluster stays
+    hashable.
 
     `replicas` holds cohorts in placement order, newest last, and
     `total_replicas` is the sum of their counts; a cohort's time is when
@@ -113,8 +121,8 @@ class ClusterState:
     the total less those.
 
     The occupied slots are a prefix of the active nodes in id order (see
-    the module docstring), so `ceil(total_replicas / node_capacity)` of the
-    `active_nodes` are busy and the rest are idle, in cohorts of nodes that
+    the module docstring), so `nodes_for(total_replicas, node_capacity)` of
+    the `active_nodes` are busy and the rest are idle, in cohorts of nodes that
     went idle at one time. `emptied` holds the cohorts of idle nodes that
     have held pods, by the time they emptied, oldest first and so highest
     id first; the right end fills first. `fresh` holds the cohorts of idle
@@ -128,7 +136,7 @@ class ClusterState:
     steps of the fixed tick.
     """
 
-    # the fixed limits this state evolves under; the cluster and the
+    # the fixed limits this state evolves under; the operations and the
     # controllers read them here
     params: ClusterParams = field(default_factory=ClusterParams)
     time: float = 0.0
@@ -165,6 +173,12 @@ class ClusterState:
         return ready
 
 
+def nodes_for(pods: int, node_capacity: int) -> int:
+    """How many nodes of `node_capacity` slots `pods` pods fill: the exact
+    integer ceiling, which a float division misses past 2**53 pods."""
+    return -(-pods // node_capacity)
+
+
 def observe_latency(ready: int, queue_depth: float, arrival_rate: float,
                     model: ServiceModel) -> float:
     """Analytic latency of `ready` ready pods serving `arrival_rate` with a
@@ -188,37 +202,37 @@ def observe_latency(ready: int, queue_depth: float, arrival_rate: float,
     return min(model.latency_cap, lat)
 
 
-class Cluster:
-    """Mutable cluster simulation advanced tick by tick.
+class Cluster(ClusterState):
+    """Mutable cluster simulation advanced tick by tick: a `ClusterState`
+    and the operations that change it.
 
     One instance is owned by exactly one run loop; it is never shared.
     """
 
     def __init__(self, params: ClusterParams, initial_replicas: int = 0):
-        self.state = ClusterState(params)
+        super().__init__(params)
         if params.initial_nodes:
-            self.state.fresh.append(Cohort(0.0, params.initial_nodes))
-        self.state.active_nodes = params.initial_nodes
+            self.fresh.append(Cohort(0.0, params.initial_nodes))
+        self.active_nodes = params.initial_nodes
         # initial replicas are ready immediately (pre-warmed fleet)
         self._place(initial_replicas, ready_at=0.0)
-        self.state.pending_replicas += max(
-            0, initial_replicas - self.state.total_replicas)
+        self.pending_replicas += max(0, initial_replicas - self.total_replicas)
 
     # -- internal helpers -------------------------------------------------
 
     def _place(self, count: int, ready_at: float) -> int:
         """First-fit placement over active nodes in id order; returns #placed."""
-        s = self.state
-        placed = min(count, s.free_slots)
+        placed = min(count, self.free_slots)
         if placed <= 0:
             return 0
-        filled = (self.nodes_for(s.total_replicas + placed)
-                  - self.nodes_for(s.total_replicas))
-        s.total_replicas += placed
-        _add_cohort(s.replicas, ready_at, placed)
+        capacity = self.params.node_capacity
+        filled = (nodes_for(self.total_replicas + placed, capacity)
+                  - nodes_for(self.total_replicas, capacity))
+        self.total_replicas += placed
+        _add_cohort(self.replicas, ready_at, placed)
         # the pods fill the last busy node, then the lowest idle ids: the
         # newest emptied nodes, then the oldest fresh ones
-        emptied, fresh = s.emptied, s.fresh
+        emptied, fresh = self.emptied, self.fresh
         while filled:
             if emptied:
                 cohort, drop = emptied[-1], emptied.pop
@@ -233,22 +247,21 @@ class Cluster:
 
     def _discharge_pending(self):
         """Place as many pending pods as there are free slots."""
-        s = self.state
-        if s.pending_replicas <= 0:
+        if self.pending_replicas <= 0:
             return
-        placed = self._place(s.pending_replicas,
-                             s.time + s.params.pod_start_delay)
-        s.pending_replicas -= placed
+        placed = self._place(self.pending_replicas,
+                             self.time + self.params.pod_start_delay)
+        self.pending_replicas -= placed
 
     def _remove_replicas(self, count: int):
         """Scale-down: drop pending first, then placed replicas newest-first."""
-        s = self.state
-        drop_pending = min(count, s.pending_replicas)
-        s.pending_replicas -= drop_pending
+        drop_pending = min(count, self.pending_replicas)
+        self.pending_replicas -= drop_pending
         count -= drop_pending
-        busy = self.nodes_for(s.total_replicas)
-        s.total_replicas -= count
-        reps = s.replicas
+        capacity = self.params.node_capacity
+        busy = nodes_for(self.total_replicas, capacity)
+        self.total_replicas -= count
+        reps = self.replicas
         while count > 0:
             last = reps[-1]
             if last.count > count:
@@ -258,9 +271,9 @@ class Cluster:
             reps.pop()
         # the newest pods sit in the highest slots, so the top busy nodes
         # empty, each below every node emptied before
-        freed = busy - self.nodes_for(s.total_replicas)
+        freed = busy - nodes_for(self.total_replicas, capacity)
         if freed:
-            _add_cohort(s.emptied, s.time, freed)
+            _add_cohort(self.emptied, self.time, freed)
 
     # -- spec operations --------------------------------------------------
 
@@ -279,65 +292,58 @@ class Cluster:
             raise ValueError("dt must be > 0")
         if not math.isfinite(arrivals) or arrivals < 0:
             raise ValueError(f"arrivals must be finite and >= 0, got {arrivals}")
-        s = self.state
         # whole ticks times dt, which a running sum of dt drifts away from
-        s.ticks += 1
-        s.time = float(s.ticks * dt)
+        self.ticks += 1
+        self.time = float(self.ticks * dt)
 
         # node_provision_delay is constant, so activation times increase
         # along the deque and the first cohort still on its way ends the scan
-        provisioning = s.provisioning
-        while provisioning and provisioning[0].t <= s.time:
+        provisioning = self.provisioning
+        while provisioning and provisioning[0].t <= self.time:
             activated = provisioning.popleft().count
-            _add_cohort(s.fresh, s.time, activated)
-            s.active_nodes += activated
+            _add_cohort(self.fresh, self.time, activated)
+            self.active_nodes += activated
         self._discharge_pending()
 
-        ready = s.ready_replicas
+        ready = self.ready_replicas
         capacity = ready * model.per_replica_rate * dt
-        offered = s.queue_depth + arrivals
+        offered = self.queue_depth + arrivals
         served = min(offered, capacity)
-        s.queue_depth = offered - served
-        s.cumulative_arrived += arrivals
-        s.cumulative_served += served
-        if s.cumulative_arrived == math.inf:
-            raise OverflowError(f"arrivals summed to t={(s.ticks - 1) * dt!r}"
+        self.queue_depth = offered - served
+        self.cumulative_arrived += arrivals
+        self.cumulative_served += served
+        if self.cumulative_arrived == math.inf:
+            raise OverflowError(f"arrivals summed to t={(self.ticks - 1) * dt!r}"
                                 " pass the float range")
 
         # nodes join either deque at the right with the current time, so
         # the times increase along it and the first cohort not timed out
         # ends its search
-        timeout = s.params.node_idle_timeout
-        for idle in (s.emptied, s.fresh):
-            while idle and s.time - idle[0].t > timeout:
-                s.active_nodes -= idle.popleft().count
+        timeout = self.params.node_idle_timeout
+        for idle in (self.emptied, self.fresh):
+            while idle and self.time - idle[0].t > timeout:
+                self.active_nodes -= idle.popleft().count
         return ready
 
     def schedule(self, desired_replicas: int):
         """Move the scheduled replica total toward desired_replicas."""
         if desired_replicas < 0:
             raise ValueError("desired_replicas must be >= 0")
-        s = self.state
-        current = s.total_replicas + s.pending_replicas
+        current = self.total_replicas + self.pending_replicas
         if desired_replicas > current:
-            s.pending_replicas += desired_replicas - current
+            self.pending_replicas += desired_replicas - current
             self._discharge_pending()
         elif desired_replicas < current:
             self._remove_replicas(current - desired_replicas)
 
-    def nodes_for(self, pods: int) -> int:
-        """How many nodes `pods` pods fill: the exact integer ceiling."""
-        return -(-pods // self.state.params.node_capacity)
-
     def provision_node(self, count: int) -> int:
         """Request `count` extra nodes as one cohort, granted up to
         max_nodes; returns how many were granted, 0 when refused."""
-        s = self.state
-        granted = min(count, s.params.max_nodes - s.live_nodes)
+        granted = min(count, self.params.max_nodes - self.live_nodes)
         if granted <= 0:
             return 0
-        _add_cohort(s.provisioning, s.time + s.params.node_provision_delay,
-                    granted)
+        _add_cohort(self.provisioning,
+                    self.time + self.params.node_provision_delay, granted)
         return granted
 
     # -- invariant checks (used by tests and the run loop) -----------------
@@ -345,18 +351,17 @@ class Cluster:
     def check_invariants(self):
         """Check every stored fact; O(cohorts). Each check raises
         AssertionError itself, so that `python -O` keeps it."""
-        s = self.state
-        if not s.queue_depth >= -1e-9:
+        if not self.queue_depth >= -1e-9:
             raise AssertionError("negative queue")
-        if not s.pending_replicas >= 0:
+        if not self.pending_replicas >= 0:
             raise AssertionError("negative pending")
-        if not abs(s.cumulative_arrived - s.cumulative_served
-                   - s.queue_depth) < 1e-6:
+        if not abs(self.cumulative_arrived - self.cumulative_served
+                   - self.queue_depth) < 1e-6:
             raise AssertionError("request conservation violated")
 
         total = 0
         prev_t = -math.inf
-        for cohort in s.replicas:
+        for cohort in self.replicas:
             t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty cohort")
@@ -364,7 +369,7 @@ class Cluster:
                 raise AssertionError("cohorts out of ready_at order")
             prev_t = t
             total += count
-        if s.total_replicas != total:
+        if self.total_replicas != total:
             raise AssertionError("replica counter drifted")
 
         # each deque holds non-empty cohorts in the strict time order its
@@ -372,7 +377,7 @@ class Cluster:
         # a time
         idle = 0
         prev_t = -math.inf
-        for cohort in s.emptied:
+        for cohort in self.emptied:
             t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty emptied run")
@@ -381,7 +386,7 @@ class Cluster:
             prev_t = t
             idle += count
         prev_t = -math.inf
-        for cohort in s.fresh:
+        for cohort in self.fresh:
             t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty fresh run")
@@ -391,7 +396,7 @@ class Cluster:
             idle += count
         incoming = 0
         prev_t = -math.inf
-        for cohort in s.provisioning:
+        for cohort in self.provisioning:
             t, count = cohort.t, cohort.count
             if not count > 0:
                 raise AssertionError("empty provisioning run")
@@ -402,12 +407,13 @@ class Cluster:
 
         # the prefix rule: every active node is busy, with exactly enough
         # room for the pods, or idle in exactly one cohort
-        if self.nodes_for(total) + idle != s.active_nodes:
+        if nodes_for(total, self.params.node_capacity) + idle \
+                != self.active_nodes:
             raise AssertionError("node count does not fit the busy and idle"
                                  " nodes")
         # every placement discharges pending pods into the free slots first
-        if s.pending_replicas and s.free_slots > 0:
+        if self.pending_replicas and self.free_slots > 0:
             raise AssertionError("pending pods while a slot is free")
 
-        if s.active_nodes + incoming > s.params.max_nodes:
+        if self.active_nodes + incoming > self.params.max_nodes:
             raise AssertionError("more live nodes than max_nodes")

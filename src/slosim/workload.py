@@ -287,13 +287,3 @@ def peak_arrivals(spec: WorkloadSpec, dt: float) -> float:
     period = spec.burst_interval
     bulk = spec.batch_fraction * base * period
     return (1.0 - spec.batch_fraction) * base * dt + (dt / period + 1) * bulk
-
-
-def analytic_mean_rate(spec: WorkloadSpec) -> float:
-    """Long-run mean rate of the noiseless piecewise definition (per second)."""
-    if spec.kind == "bursty":
-        frac = spec.burst_duration / spec.burst_interval
-        return spec.base_rate * ((1 - frac) + frac * spec.burst_amplitude)
-    if spec.kind == "mixed":
-        return spec.base_rate  # steady stream plus batches restores the full rate
-    raise ValueError("analytic mean defined for periodic kinds only")

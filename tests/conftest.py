@@ -3,14 +3,17 @@
 import pytest
 
 from slosim.runner import run
-from slosim.scenario import bundled_scenario
+from slosim.scenario import parse_scenario
+
+from helpers import bundled_doc
 
 SCENARIO_NAMES = ("bursty", "mixed", "queue_driven")
 
 
 @pytest.fixture(scope="session")
 def scenarios():
-    return {name: bundled_scenario(name) for name in SCENARIO_NAMES}
+    return {name: parse_scenario(bundled_doc(name))
+            for name in SCENARIO_NAMES}
 
 
 @pytest.fixture(scope="session")

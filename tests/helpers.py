@@ -20,6 +20,16 @@ def bundled_doc(name: str) -> dict:
                        / f"{name}.json").read_text())
 
 
+def analytic_mean_rate(spec) -> float:
+    """Long-run mean rate of the noiseless piecewise definition (per second)."""
+    if spec.kind == "bursty":
+        frac = spec.burst_duration / spec.burst_interval
+        return spec.base_rate * ((1 - frac) + frac * spec.burst_amplitude)
+    if spec.kind == "mixed":
+        return spec.base_rate  # steady stream plus batches restores the full rate
+    raise ValueError("analytic mean defined for periodic kinds only")
+
+
 def arrivals_oracle(spec, seed: int, k: int, dt: float) -> int:
     """`slosim.workload.arrivals_at` as one tick's formula, with the tick's
     noise factor drawn from numpy's own `default_rng([seed, k])`."""
@@ -37,8 +47,8 @@ def make_cluster(ready: int = 0, queue: float = 0.0, nodes: int = 2,
     cluster = Cluster(
         ClusterParams(initial_nodes=nodes, node_capacity=node_capacity, **params),
         initial_replicas=ready)
-    cluster.state.queue_depth = queue
-    cluster.state.cumulative_arrived = queue
+    cluster.queue_depth = queue
+    cluster.cumulative_arrived = queue
     return cluster
 
 

@@ -194,7 +194,6 @@ def _run_ops(ops, nodes, capacity, initial):
                            max_nodes=6, pod_start_delay=5.0,
                            node_provision_delay=20.0, node_idle_timeout=40.0)
     cluster = Cluster(params, initial_replicas=initial)
-    states = []
     for op, arg in ops:
         if op == "schedule":
             cluster.schedule(arg)
@@ -202,37 +201,35 @@ def _run_ops(ops, nodes, capacity, initial):
             cluster.provision_node(arg)
         else:
             cluster.step(arg, MODEL, 1.0)
-        states.append(cluster.state)
-    return cluster, states
+    return cluster
 
 
 @SUITE
 @given(ops=cluster_ops, nodes=st.integers(1, 3), capacity=st.integers(1, 8),
        initial=st.integers(0, 8))
 def test_criterion_5_request_conservation(ops, nodes, capacity, initial):
-    cluster, _ = _run_ops(ops, nodes, capacity, initial)
-    s = cluster.state
-    assert abs(s.cumulative_arrived - s.cumulative_served - s.queue_depth) < 1e-6
+    cluster = _run_ops(ops, nodes, capacity, initial)
+    assert abs(cluster.cumulative_arrived - cluster.cumulative_served
+               - cluster.queue_depth) < 1e-6
 
 
 @SUITE
 @given(ops=cluster_ops, nodes=st.integers(1, 3), capacity=st.integers(1, 8),
        initial=st.integers(0, 8))
 def test_criterion_5_placement_soundness(ops, nodes, capacity, initial):
-    cluster, _ = _run_ops(ops, nodes, capacity, initial)
-    s = cluster.state
+    cluster = _run_ops(ops, nodes, capacity, initial)
     # the pods fill the busy nodes, all full but the last, and every other
     # active node is idle in one run of the two deques; each deque holds
     # non-empty runs in strictly increasing time order
-    assert sum(rep.count for rep in s.replicas) == s.total_replicas
-    idle = [run.count for run in s.emptied] + [run.count for run in s.fresh]
+    assert sum(rep.count for rep in cluster.replicas) == cluster.total_replicas
+    idle = [run.count for run in (*cluster.emptied, *cluster.fresh)]
     assert all(count > 0 for count in idle)
-    assert math.ceil(s.total_replicas / capacity) + sum(idle) \
-        == s.active_nodes
-    for runs in (s.emptied, s.fresh):
+    assert math.ceil(cluster.total_replicas / capacity) + sum(idle) \
+        == cluster.active_nodes
+    for runs in (cluster.emptied, cluster.fresh):
         times = [run.t for run in runs]
         assert all(a < b for a, b in zip(times, times[1:]))
-    assert s.live_nodes <= s.params.max_nodes
+    assert cluster.live_nodes <= cluster.params.max_nodes
 
 
 def test_criterion_5_determinism(all_runs, scenarios):

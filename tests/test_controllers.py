@@ -4,7 +4,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from slosim.controllers import (
@@ -27,6 +27,7 @@ from slosim.controllers import (
     vpa_recommend,
 )
 from slosim.signals import SignalSnapshot
+from slosim.sim import nodes_for
 
 from helpers import make_cluster
 
@@ -167,19 +168,19 @@ class TestEnforceGuardrails:
 
 class TestCoordinateActuation:
     def test_schedulable_target_needs_no_hint(self):
-        cluster = make_cluster(ready=4, nodes=1, node_capacity=8).state
+        cluster = make_cluster(ready=4, nodes=1, node_capacity=8)
         hint, _ = coordinate_actuation(8, cluster, 8)
         assert hint is None
 
     def test_shortfall_rounds_up_to_whole_node(self):
-        cluster = make_cluster(ready=4, nodes=1, node_capacity=6).state
+        cluster = make_cluster(ready=4, nodes=1, node_capacity=6)
         hint, note = coordinate_actuation(12, cluster, 8)
         assert hint == 8  # shortfall 6 -> one 8-slot node
         assert "1 node" in note
 
     def test_node_limit_suppresses_hint_with_reason(self):
         cluster = make_cluster(ready=4, nodes=1, node_capacity=4,
-                               max_nodes=1).state
+                               max_nodes=1)
         hint, note = coordinate_actuation(12, cluster, 4)
         assert hint is None
         assert "node limit" in note
@@ -187,8 +188,29 @@ class TestCoordinateActuation:
     def test_starting_replicas_count_toward_target(self):
         cluster = make_cluster(ready=0, nodes=1, node_capacity=8)
         cluster.schedule(8)  # all eight starting, zero ready
-        hint, _ = coordinate_actuation(8, cluster.state, 8)
+        hint, _ = coordinate_actuation(8, cluster, 8)
         assert hint is None
+
+    def test_hint_is_the_exact_ceiling_past_two_to_the_53(self):
+        # a float ceiling of (2**53 + 1) / 2**40 gives 8192 nodes
+        cluster = make_cluster(nodes=0, node_capacity=2**40, max_nodes=10**6)
+        hint, note = coordinate_actuation(2**53 + 1, cluster, 2**40)
+        assert hint == 8193 * 2**40
+        assert note == "hinting 8193 node(s)"
+
+    @given(shortfall=st.integers(1, 2**64),
+           node_capacity=st.integers(1, 2**64))
+    @example(shortfall=2**64, node_capacity=3)
+    @example(shortfall=2**63 + 1, node_capacity=2)
+    def test_hinted_nodes_are_nodes_for_the_shortfall(self, shortfall,
+                                                      node_capacity):
+        cluster = make_cluster(nodes=0, max_nodes=1)  # no slot free
+        hint, note = coordinate_actuation(shortfall, cluster, node_capacity)
+        whole_nodes = nodes_for(shortfall, node_capacity)
+        assert hint == whole_nodes * node_capacity
+        assert note == f"hinting {whole_nodes} node(s)"
+        # the fewest whole nodes that hold the shortfall
+        assert hint - node_capacity < shortfall <= hint
 
 
 class TestVpaRecommend:
@@ -230,19 +252,19 @@ class TestHpaController:
         return ControllerConfig(**base)
 
     def test_metric_at_target_holds(self):
-        cluster = make_cluster(ready=3).state
+        cluster = make_cluster(ready=3)
         ctrl = HpaController(self.cfg(), 0.5, MU)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.target_replicas == 3
 
     def test_double_metric_doubles_replicas(self):
-        cluster = make_cluster(ready=3).state
+        cluster = make_cluster(ready=3)
         ctrl = HpaController(self.cfg(), 0.5, MU)
         rec = ctrl.decide(snap(rate=30, ready=3), cluster)
         assert rec.action.target_replicas == 6
 
     def test_idle_load_descends_after_stabilization_window(self):
-        cluster = make_cluster(ready=5).state
+        cluster = make_cluster(ready=5)
         ctrl = HpaController(self.cfg(), 0.5, MU)
         targets = []
         # one on-target decision seeds the window with a high candidate
@@ -254,13 +276,13 @@ class TestHpaController:
         assert targets == [5, 5, 5, 5, 5, 1]
 
     def test_vpa_variant_attaches_recommendation(self):
-        cluster = make_cluster(ready=3).state
+        cluster = make_cluster(ready=3)
         ctrl = HpaController(self.cfg(), 0.5, MU, with_vpa=True)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.vpa_recommendation == pytest.approx(0.5 * 1.15)
 
     def test_plain_variant_keeps_no_usage_history(self):
-        cluster = make_cluster(ready=3).state
+        cluster = make_cluster(ready=3)
         ctrl = HpaController(self.cfg(), 0.5, MU)
         rec = ctrl.decide(snap(rate=15, ready=3), cluster)
         assert rec.action.vpa_recommendation is None
@@ -272,7 +294,7 @@ class TestHpaController:
                               st.integers(0, 6)),
                     min_size=1, max_size=60))
     def test_vpa_recommendation_is_p90_of_every_metric(self, observations):
-        cluster = make_cluster(ready=3).state
+        cluster = make_cluster(ready=3)
         cfg = self.cfg()
         ctrl = HpaController(cfg, 0.5, MU, with_vpa=True)
         seen = []
@@ -287,7 +309,7 @@ class TestHpaController:
 
 class TestSloCostController:
     def test_quiet_path_settles_on_capacity_floor(self):
-        cluster = make_cluster(ready=4).state
+        cluster = make_cluster(ready=4)
         ctrl = SloCostController(ControllerConfig(), MU, node_capacity=8)
         rec = ctrl.decide(snap(latency=0.1, rate=28, ready=4), cluster)
         assert rec.slo_demand == 4
@@ -296,7 +318,7 @@ class TestSloCostController:
         assert rec.constraints_applied == ()
 
     def test_backlog_stage_never_lowers_demand(self):
-        cluster = make_cluster(ready=4).state
+        cluster = make_cluster(ready=4)
         ctrl = SloCostController(ControllerConfig(), MU, node_capacity=8)
         rec = ctrl.decide(snap(latency=0.3, queue=600, rate=40, ready=4),
                           cluster)
@@ -307,13 +329,13 @@ class TestSloCostController:
         ctrl = SloCostController(
             ControllerConfig(cooldown_after_scale_up=0.0), MU, node_capacity=4)
         rec = ctrl.decide(snap(latency=0.4, queue=2000, rate=60, ready=4),
-                          cluster.state)
+                          cluster)
         assert rec.action.target_replicas > 4
         assert rec.action.node_capacity_hint is not None
         assert rec.action.node_capacity_hint % 4 == 0
 
     def test_reason_names_the_signals(self):
-        cluster = make_cluster(ready=4).state
+        cluster = make_cluster(ready=4)
         ctrl = SloCostController(ControllerConfig(), MU, node_capacity=8)
         rec = ctrl.decide(snap(latency=0.1, rate=28, ready=4), cluster)
         assert "latency" in rec.reason and "queue" in rec.reason

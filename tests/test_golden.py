@@ -7,13 +7,13 @@ CHANGES.md.
 
 import dataclasses
 import hashlib
-import json
-from importlib import resources
 
 import pytest
 
 from slosim.runner import run
-from slosim.scenario import bundled_scenario, parse_scenario
+from slosim.scenario import parse_scenario
+
+from helpers import bundled_doc
 
 # (scenario, controller) -> (sha256 of trace.jsonl, sha256 of decisions.jsonl)
 GOLDEN = {
@@ -164,7 +164,7 @@ def test_output_bytes_match_golden_digests(all_runs, scenario, controller):
 
 @pytest.mark.parametrize("controller", sorted(NOISY_GOLDEN))
 def test_long_noisy_run_matches_golden_digests(controller):
-    scn = bundled_scenario("bursty")
+    scn = parse_scenario(bundled_doc("bursty"))
     scn = dataclasses.replace(
         scn, horizon=6 * 3600.0, seed=1,
         workload=dataclasses.replace(scn.workload, noise_std=0.3))
@@ -176,7 +176,7 @@ def test_long_noisy_run_matches_golden_digests(controller):
 
 @pytest.mark.parametrize("controller", sorted(FLEET_GOLDEN))
 def test_fleet_scale_run_matches_golden_digests(controller):
-    scn = bundled_scenario("bursty")
+    scn = parse_scenario(bundled_doc("bursty"))
     scn = dataclasses.replace(
         scn,
         workload=_scaled(scn.workload, FLEET_FACTOR, "base_rate"),
@@ -193,8 +193,7 @@ def test_fleet_scale_run_matches_golden_digests(controller):
 
 @pytest.mark.parametrize("controller", sorted(EDGE_GOLDEN))
 def test_integer_latency_cap_half_second_run_matches_golden_digests(controller):
-    doc = json.loads((resources.files("slosim") / "scenarios"
-                      / "bursty.json").read_text())
+    doc = bundled_doc("bursty")
     doc["horizon"] = 900
     doc["tick"] = 0.5
     doc["service"]["latency_cap"] = 5
@@ -210,8 +209,7 @@ def test_integer_latency_cap_half_second_run_matches_golden_digests(controller):
 
 @pytest.mark.parametrize("controller", sorted(CHURN_GOLDEN))
 def test_mixed_idle_fill_run_matches_golden_digests(controller):
-    doc = json.loads((resources.files("slosim") / "scenarios"
-                      / "bursty.json").read_text())
+    doc = bundled_doc("bursty")
     doc["seed"] = 1
     doc["cluster"]["initial_nodes"] = 6
     doc["cluster"]["node_idle_timeout"] = 1800
@@ -223,8 +221,7 @@ def test_mixed_idle_fill_run_matches_golden_digests(controller):
 
 @pytest.mark.parametrize("controller", sorted(RETIRE_GOLDEN))
 def test_fast_retirement_run_matches_golden_digests(controller):
-    doc = json.loads((resources.files("slosim") / "scenarios"
-                      / "bursty.json").read_text())
+    doc = bundled_doc("bursty")
     doc["seed"] = 3
     doc["cluster"]["node_capacity"] = 2
     doc["cluster"]["node_idle_timeout"] = 5

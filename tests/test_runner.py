@@ -14,9 +14,9 @@ from slosim import runner, workload
 from slosim.controllers import (DecisionRecord, HpaController, ScalingAction,
                                 SloCostController)
 from slosim.runner import RunTrace, TraceRows, run
-from slosim.scenario import bundled_scenario, parse_scenario
+from slosim.scenario import parse_scenario
 from slosim.signals import SignalSnapshot
-from slosim.sim import Cluster
+from slosim.sim import Cluster, nodes_for
 
 from helpers import (bundled_doc, json_decision_lines, json_trace_lines,
                      make_cluster, make_decision)
@@ -207,7 +207,7 @@ class TestProvisionNodes:
         monkeypatch.setattr(Cluster, "provision_node", counted)
         runner._provision_nodes(cluster, 1000 * 8)  # 1000 nodes' worth
         assert calls == [1]
-        assert cluster.state.live_nodes == 3
+        assert cluster.live_nodes == 3
 
     def test_ten_thousand_nodes_are_one_call_and_one_cohort(self,
                                                             monkeypatch):
@@ -223,17 +223,17 @@ class TestProvisionNodes:
         monkeypatch.setattr(Cluster, "provision_node", counted)
         runner._provision_nodes(cluster, 10**4)
         assert calls == [10**4]
-        assert [(c.t, c.count) for c in cluster.state.provisioning] == \
+        assert [(c.t, c.count) for c in cluster.provisioning] == \
             [(60.0, 10**4)]
         # the nodes on their way count against the next request
         runner._provision_nodes(cluster, 10**4 + 5)
         assert calls == [10**4, 5]
-        assert cluster.state.live_nodes == 2 + 10**4 + 5
+        assert cluster.live_nodes == 2 + 10**4 + 5
 
     def test_one_refused_request_per_trigger_at_max_nodes(self, monkeypatch):
         """bundled `bursty` with its fleet held at `initial_nodes`: every
         pending-pod trigger wants several nodes, and each is refused once."""
-        scn = bundled_scenario("bursty")
+        scn = parse_scenario(bundled_doc("bursty"))
         scn = dataclasses.replace(scn, cluster=dataclasses.replace(
             scn.cluster, max_nodes=scn.cluster.initial_nodes))
         wanted, refused = [], []
@@ -241,9 +241,8 @@ class TestProvisionNodes:
                                            Cluster.provision_node)
 
         def counted_nodes(cluster, pods):
-            s = cluster.state
-            wanted.append(cluster.nodes_for(pods)
-                          - (s.live_nodes - s.active_nodes))
+            wanted.append(nodes_for(pods, cluster.params.node_capacity)
+                          - (cluster.live_nodes - cluster.active_nodes))
             return provision_nodes(cluster, pods)
 
         def counted_node(self, count):
@@ -279,9 +278,9 @@ class TestProvisionNodes:
 
         def counted_node(self, count):
             requests.append(count)
-            before = len(self.state.provisioning)
+            before = len(self.provisioning)
             granted = provision_node(self, count)
-            added.append(len(self.state.provisioning) - before)
+            added.append(len(self.provisioning) - before)
             return granted
 
         monkeypatch.setattr(runner, "_provision_nodes", counted_nodes)
@@ -306,7 +305,7 @@ def recorded_walks():
     check = Cluster.check_invariants
 
     def checked(self):
-        at_check.append((self.state.ready_replicas, self.state.total_replicas))
+        at_check.append((self.ready_replicas, self.total_replicas))
         return check(self)
 
     def recording(decide):

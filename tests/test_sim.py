@@ -14,17 +14,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import slosim
+from slosim.controllers import SloCostController
 from slosim.runner import SimulationError, run
-from slosim.scenario import bundled_scenario
+from slosim.scenario import parse_scenario
 from slosim.sim import (
     Cluster,
     ClusterParams,
+    ClusterState,
     Cohort,
     ServiceModel,
+    nodes_for,
     observe_latency,
 )
 
-from helpers import ReferenceCluster, make_cluster
+from helpers import ReferenceCluster, bundled_doc, make_cluster
 
 MODEL = ServiceModel(per_replica_rate=10.0, base_latency=0.05, latency_cap=30.0)
 
@@ -48,20 +51,20 @@ class TestStep:
     def test_empty_system_stays_empty(self):
         c = make_cluster(ready=2)
         c.step(0, MODEL, 1.0)
-        assert c.state.queue_depth == 0
-        assert c.state.cumulative_served == 0
+        assert c.queue_depth == 0
+        assert c.cumulative_served == 0
 
     def test_excess_arrivals_accumulate_in_queue(self):
         c = make_cluster(ready=2)
         c.step(30, MODEL, 1.0)  # capacity 2*10*1 = 20
-        assert c.state.cumulative_served == 20
-        assert c.state.queue_depth == 10
+        assert c.cumulative_served == 20
+        assert c.queue_depth == 10
 
     def test_backlog_drains_when_capacity_allows(self):
         c = make_cluster(ready=10, queue=50)
         c.step(50, MODEL, 1.0)  # capacity 100 >= 50 + 50 offered
-        assert c.state.cumulative_served == 100
-        assert c.state.queue_depth == 0
+        assert c.cumulative_served == 100
+        assert c.queue_depth == 0
 
     def test_returns_the_ready_count_it_served_with(self):
         # two pending pods land on a node that activates this tick and,
@@ -69,10 +72,10 @@ class TestStep:
         c = make_cluster(ready=2, nodes=1, node_capacity=2,
                          pod_start_delay=0.0, node_provision_delay=1.0)
         c.schedule(4)
-        assert c.state.pending_replicas == 2
+        assert c.pending_replicas == 2
         assert c.provision_node(1) == 1
         assert c.step(50, MODEL, 1.0) == 4
-        assert c.state.cumulative_served == 40
+        assert c.cumulative_served == 40
 
     def test_rejects_bad_inputs(self):
         c = make_cluster(ready=1)
@@ -86,28 +89,28 @@ class TestStep:
     def test_starting_replica_becomes_ready_after_delay(self):
         c = make_cluster(ready=0, pod_start_delay=15.0)
         c.schedule(1)
-        assert c.state.ready_replicas == 0
+        assert c.ready_replicas == 0
         for _ in range(15):
             c.step(0, MODEL, 1.0)
-        assert c.state.ready_replicas == 1
+        assert c.ready_replicas == 1
 
     def test_idle_node_retires_after_timeout(self):
         c = make_cluster(ready=0, nodes=1, node_idle_timeout=10.0)
         for _ in range(10):
             c.step(0, MODEL, 1.0)
-        assert c.state.active_nodes == 1
+        assert c.active_nodes == 1
         c.step(0, MODEL, 1.0)
-        assert c.state.active_nodes == 0
+        assert c.active_nodes == 0
         # a retired node is dropped
-        assert not c.state.fresh and not c.state.emptied
+        assert not c.fresh and not c.emptied
 
     def test_time_is_a_whole_number_of_ticks(self):
         # a running sum of 0.1 reads 600.0000000000679 after 6000 ticks
         c = make_cluster(ready=1)
         for _ in range(6000):
             c.step(0, MODEL, 0.1)
-        assert c.state.ticks == 6000
-        assert c.state.time == 600.0
+        assert c.ticks == 6000
+        assert c.time == 600.0
 
 
 class TestObserveLatency:
@@ -168,52 +171,52 @@ class TestObserveLatency:
 class TestSchedule:
     def test_matching_desired_is_noop(self):
         c = make_cluster(ready=4)
-        before = runs(c.state.replicas)
+        before = runs(c.replicas)
         c.schedule(4)
-        assert runs(c.state.replicas) == before
-        assert c.state.active_nodes == 2
-        assert runs(c.state.fresh) == [(0.0, 1)] and not c.state.emptied
+        assert runs(c.replicas) == before
+        assert c.active_nodes == 2
+        assert runs(c.fresh) == [(0.0, 1)] and not c.emptied
 
     def test_scale_up_within_free_slots(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6, pod_start_delay=15.0)
         c.schedule(6)
-        assert c.state.pending_replicas == 0
+        assert c.pending_replicas == 0
         # one entry per pod, expanded from the cohorts
-        starting = [r.t for r in c.state.replicas
-                    for _ in range(r.count) if r.t > c.state.time]
+        starting = [r.t for r in c.replicas
+                    for _ in range(r.count) if r.t > c.time]
         assert starting == [15.0, 15.0]
 
     def test_overflow_becomes_pending(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=6)
         c.schedule(10)
-        assert c.state.total_replicas == 6
-        assert c.state.pending_replicas == 4
+        assert c.total_replicas == 6
+        assert c.pending_replicas == 4
 
     def test_scale_down_removes_newest_first(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2)
         c.schedule(4)  # two more, newest land on node 1
-        assert not c.state.fresh and not c.state.emptied
+        assert not c.fresh and not c.emptied
         c.schedule(2)
-        assert runs(c.state.replicas) == [(0.0, 2)]
-        assert runs(c.state.emptied) == [(0.0, 1)]  # node 1
+        assert runs(c.replicas) == [(0.0, 2)]
+        assert runs(c.emptied) == [(0.0, 1)]  # node 1
 
     def test_scale_down_drops_pending_before_placed(self):
         c = make_cluster(ready=4, nodes=1, node_capacity=4)
         c.schedule(6)
-        assert c.state.pending_replicas == 2
+        assert c.pending_replicas == 2
         c.schedule(4)
-        assert c.state.pending_replicas == 0
-        assert c.state.total_replicas == 4
+        assert c.pending_replicas == 0
+        assert c.total_replicas == 4
 
     def test_first_fit_fills_lowest_node_id_first(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4)
         c.schedule(5)
-        assert runs(c.state.fresh) == [(0.0, 1)]  # node 2
+        assert runs(c.fresh) == [(0.0, 1)]  # node 2
         c.schedule(8)  # node 1 fills before node 2 takes a pod
-        assert runs(c.state.fresh) == [(0.0, 1)]
+        assert runs(c.fresh) == [(0.0, 1)]
         c.schedule(9)
-        assert not c.state.fresh and not c.state.emptied
-        assert c.state.free_slots == 3
+        assert not c.fresh and not c.emptied
+        assert c.free_slots == 3
 
     def test_placements_at_one_time_share_a_cohort(self):
         c = make_cluster(ready=0, nodes=3, node_capacity=4, pod_start_delay=5.0)
@@ -221,9 +224,9 @@ class TestSchedule:
         c.schedule(6)  # spans nodes 0 and 1, same ready time
         c.step(0, MODEL, 1.0)
         c.schedule(7)
-        assert runs(c.state.replicas) == \
+        assert runs(c.replicas) == \
             [(5.0, 6), (6.0, 1)]
-        assert runs(c.state.fresh) == [(0.0, 1)]  # node 2
+        assert runs(c.fresh) == [(0.0, 1)]  # node 2
 
     def test_idle_nodes_fill_in_id_order_not_idle_order(self):
         c = make_cluster(ready=3, nodes=3, node_capacity=1)
@@ -231,25 +234,25 @@ class TestSchedule:
         c.schedule(2)  # node 2 empties at t=1
         c.step(0, MODEL, 1.0)
         c.schedule(1)  # node 1 empties at t=2
-        assert runs(c.state.emptied) == [(1.0, 1), (2.0, 1)]  # nodes 2, 1
+        assert runs(c.emptied) == [(1.0, 1), (2.0, 1)]  # nodes 2, 1
         c.schedule(2)  # node 1, the newest emptied, is the lowest idle id
-        assert runs(c.state.emptied) == [(1.0, 1)]
+        assert runs(c.emptied) == [(1.0, 1)]
 
     def test_node_activated_after_a_retirement_fills_last(self):
         c = make_cluster(ready=2, nodes=2, node_capacity=2,
                          node_idle_timeout=2.0, node_provision_delay=1.0)
         for _ in range(3):
             c.step(0, MODEL, 1.0)
-        assert not c.state.fresh  # node 1 retired at t=3
-        assert c.state.active_nodes == 1
+        assert not c.fresh  # node 1 retired at t=3
+        assert c.active_nodes == 1
         c.provision_node(1)
         c.schedule(1)  # node 0 has a free slot
         c.step(0, MODEL, 1.0)
-        assert runs(c.state.fresh) == [(4.0, 1)]  # node 2, not node 1 again
+        assert runs(c.fresh) == [(4.0, 1)]  # node 2, not node 1 again
         c.schedule(4)  # node 0's free slot first, then node 2
-        assert not c.state.fresh and c.state.active_nodes == 2
-        assert c.state.free_slots == 0
-        assert runs(c.state.replicas) == \
+        assert not c.fresh and c.active_nodes == 2
+        assert c.free_slots == 0
+        assert runs(c.replicas) == \
             [(0.0, 1), (19.0, 3)]
 
     def test_fresh_nodes_fill_oldest_first(self):
@@ -257,9 +260,9 @@ class TestSchedule:
                          node_provision_delay=1.0)
         c.provision_node(1)
         c.step(0, MODEL, 1.0)
-        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 1)]  # nodes 0 and 1
+        assert runs(c.fresh) == [(0.0, 1), (1.0, 1)]  # nodes 0 and 1
         c.schedule(1)  # node 0, the lowest id, has been idle longest
-        assert runs(c.state.fresh) == [(1.0, 1)]
+        assert runs(c.fresh) == [(1.0, 1)]
 
     def test_emptied_node_fills_before_a_longer_idle_fresh_one(self):
         params = ClusterParams(initial_nodes=3, node_capacity=1,
@@ -278,12 +281,12 @@ class TestSchedule:
         step()
         schedule(1)  # node 1 empties at t=1; node 2 is idle since t=0
         schedule(2)  # node 1 fills again, not node 2
-        assert not c.state.emptied and runs(c.state.fresh) == [(0.0, 1)]
+        assert not c.emptied and runs(c.fresh) == [(0.0, 1)]
         assert [n.used for n in ref.nodes] == [1, 1, 0]
         schedule(1)  # node 1 empties again at t=1
         step()
         step()  # node 2 times out first, at t=3
-        assert runs(c.state.emptied) == [(1.0, 1)] and not c.state.fresh
+        assert runs(c.emptied) == [(1.0, 1)] and not c.fresh
         assert [n.retired for n in ref.nodes] == [False, False, True]
 
 
@@ -307,18 +310,18 @@ class TestIdleRuns:
         assert c.provision_node(2) == 2
         assert ref.provision_node() and ref.provision_node()
         step()
-        assert runs(c.state.fresh) == [(0.0, 3), (1.0, 2)]
+        assert runs(c.fresh) == [(0.0, 3), (1.0, 2)]
         schedule(2)  # nodes 0 and 1, two of the oldest fresh run
-        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 2)]
+        assert runs(c.fresh) == [(0.0, 1), (1.0, 2)]
         schedule(4)  # node 2, then node 3 of the next run
-        assert runs(c.state.fresh) == [(1.0, 1)]
+        assert runs(c.fresh) == [(1.0, 1)]
         step()
         schedule(3)  # node 3 empties at t=2
         step()
         schedule(1)  # nodes 2 and 1 empty at t=3
-        assert runs(c.state.emptied) == [(2.0, 1), (3.0, 2)]
+        assert runs(c.emptied) == [(2.0, 1), (3.0, 2)]
         schedule(2)  # node 1, one of the newest emptied run
-        assert runs(c.state.emptied) == [(2.0, 1), (3.0, 1)]
+        assert runs(c.emptied) == [(2.0, 1), (3.0, 1)]
         assert_same(c, ref, look=True)
 
     def test_one_fill_spans_two_emptied_runs_then_a_fresh_run(self):
@@ -330,11 +333,11 @@ class TestIdleRuns:
             ref.step(0, MODEL.per_replica_rate, 1.0)
             c.schedule(desired)
             ref.schedule(desired)
-        assert runs(c.state.emptied) == [(1.0, 1), (2.0, 1)]
-        assert runs(c.state.fresh) == [(0.0, 2)]
+        assert runs(c.emptied) == [(1.0, 1), (2.0, 1)]
+        assert runs(c.fresh) == [(0.0, 2)]
         c.schedule(4)  # nodes 1 and 2, then the lower fresh node 3
         ref.schedule(4)
-        assert not c.state.emptied and runs(c.state.fresh) == [(0.0, 1)]
+        assert not c.emptied and runs(c.fresh) == [(0.0, 1)]
         assert_same(c, ref, look=True)
 
     def test_run_of_k_nodes_retires_in_one_step(self):
@@ -342,21 +345,21 @@ class TestIdleRuns:
                          node_idle_timeout=2.0)
         c.step(0, MODEL, 1.0)
         c.schedule(0)
-        assert runs(c.state.emptied) == [(1.0, 4)]
+        assert runs(c.emptied) == [(1.0, 4)]
         c.step(0, MODEL, 1.0)
         c.step(0, MODEL, 1.0)
-        assert c.state.active_nodes == 4
+        assert c.active_nodes == 4
         c.step(0, MODEL, 1.0)  # idle for 3 s > 2 s
-        assert c.state.active_nodes == 0 and not c.state.emptied
+        assert c.active_nodes == 0 and not c.emptied
         c.check_invariants()
 
     def test_activations_in_one_tick_merge_into_one_fresh_run(self):
         c = make_cluster(ready=0, nodes=1, node_provision_delay=1.0)
         assert c.provision_node(1) == 1 and c.provision_node(1) == 1
-        assert runs(c.state.provisioning) == [(1.0, 2)]
+        assert runs(c.provisioning) == [(1.0, 2)]
         c.step(0, MODEL, 1.0)
-        assert runs(c.state.fresh) == [(0.0, 1), (1.0, 2)]
-        assert c.state.active_nodes == 3
+        assert runs(c.fresh) == [(0.0, 1), (1.0, 2)]
+        assert c.active_nodes == 3
         c.check_invariants()
 
     def test_scale_downs_at_one_time_merge_into_one_emptied_run(self):
@@ -364,7 +367,7 @@ class TestIdleRuns:
         c.step(0, MODEL, 1.0)
         c.schedule(3)
         c.schedule(1)
-        assert runs(c.state.emptied) == [(1.0, 3)]
+        assert runs(c.emptied) == [(1.0, 3)]
         c.check_invariants()
 
 
@@ -372,45 +375,94 @@ class TestProvisionNode:
     def test_node_activates_after_delay(self):
         c = make_cluster(ready=0, nodes=1, node_provision_delay=60.0)
         c.provision_node(1)
-        assert c.state.active_nodes == 1
+        assert c.active_nodes == 1
         for _ in range(60):
             c.step(0, MODEL, 1.0)
-        assert c.state.active_nodes == 2
+        assert c.active_nodes == 2
 
     def test_pending_replicas_placed_on_activation(self):
         c = make_cluster(ready=0, nodes=1, node_capacity=4,
                          node_provision_delay=10.0)
         c.schedule(8)
-        assert c.state.pending_replicas == 4
+        assert c.pending_replicas == 4
         c.provision_node(1)
         for _ in range(10):
             c.step(0, MODEL, 1.0)
-        assert c.state.pending_replicas == 0
-        assert c.state.total_replicas == 8
+        assert c.pending_replicas == 0
+        assert c.total_replicas == 8
 
     def test_refused_at_max_nodes(self):
         c = make_cluster(ready=0, nodes=2, max_nodes=2)
         assert c.provision_node(1) == 0
-        assert c.state.live_nodes == 2
-        assert not c.state.provisioning
+        assert c.live_nodes == 2
+        assert not c.provisioning
 
     def test_grants_up_to_max_nodes_as_one_cohort(self):
         c = make_cluster(ready=0, nodes=2, max_nodes=10**4,
                          node_provision_delay=3.0)
         assert c.provision_node(10**6) == 10**4 - 2
-        assert runs(c.state.provisioning) == [(3.0, 10**4 - 2)]
-        assert c.state.live_nodes == 10**4
+        assert runs(c.provisioning) == [(3.0, 10**4 - 2)]
+        assert c.live_nodes == 10**4
         for _ in range(3):
             c.step(0, MODEL, 1.0)
-        assert not c.state.provisioning
-        assert runs(c.state.fresh) == [(0.0, 2), (3.0, 10**4 - 2)]
+        assert not c.provisioning
+        assert runs(c.fresh) == [(0.0, 2), (3.0, 10**4 - 2)]
         c.check_invariants()
 
     def test_nodes_for_is_the_exact_ceiling(self):
         # a float ceiling of the quotient gives 8192 here
-        c = Cluster(ClusterParams(node_capacity=2**40))
-        assert c.nodes_for(2**53 + 1) == 8193
-        assert c.nodes_for(2**40) == 1 and c.nodes_for(0) == 0
+        assert nodes_for(2**53 + 1, 2**40) == 8193
+        assert nodes_for(2**40, 2**40) == 1 and nodes_for(0, 2**40) == 0
+
+
+class TestClusterIsItsState:
+    def test_cluster_is_a_hashable_cluster_state(self):
+        c = make_cluster(ready=3)
+        assert isinstance(c, ClusterState)
+        assert not hasattr(c, "state")
+        # equality is identity, so two equal-looking clusters stay apart
+        assert c != make_cluster(ready=3) and {c: 1}[c] == 1
+
+    def test_decide_reads_the_run_cluster(self, monkeypatch):
+        stepped, read = set(), []
+        step, decide = Cluster.step, SloCostController.decide
+
+        def recording_step(self, *args):
+            stepped.add(self)
+            return step(self, *args)
+
+        def recording_decide(self, snap, cluster):
+            read.append(cluster)
+            return decide(self, snap, cluster)
+
+        monkeypatch.setattr(Cluster, "step", recording_step)
+        monkeypatch.setattr(SloCostController, "decide", recording_decide)
+        scn = dataclasses.replace(parse_scenario(bundled_doc("bursty")),
+                                  horizon=120)
+        trace = run(scn, "proposed")
+        assert len(stepped) == 1 and len(read) == len(trace.decisions) > 0
+        assert all(cluster is read[0] for cluster in read)
+        assert read[0] in stepped
+
+    def test_a_property_patched_on_the_base_counts_cluster_reads(
+            self, monkeypatch):
+        """A counter patched onto `ClusterState.ready_replicas`, as a
+        profiler patches it, sees each read: one per tick, one per
+        decision."""
+        ready_replicas = ClusterState.ready_replicas
+        reads = []
+
+        def counted(self):
+            reads.append(None)
+            return ready_replicas.fget(self)
+
+        monkeypatch.setattr(ClusterState, "ready_replicas", property(counted))
+        scn = dataclasses.replace(parse_scenario(bundled_doc("bursty")),
+                                  horizon=600)
+        for kind in ("default_hpa", "proposed"):
+            reads.clear()
+            trace = run(scn, kind)
+            assert len(reads) == len(trace.arrivals) + len(trace.decisions)
 
 
 # Random operation sequences; every intermediate state must stay sound.
@@ -443,19 +495,18 @@ def test_random_operations_keep_cluster_sound(ops, nodes, capacity, max_nodes,
         if op == "schedule":
             cluster.schedule(arg)
         elif op == "provision":
-            room = params.max_nodes - cluster.state.live_nodes
+            room = params.max_nodes - cluster.live_nodes
             assert cluster.provision_node(arg) == min(arg, room)
         else:
             cluster.step(arg, MODEL, 1.0)
             # backlog conservation holds at every tick boundary
-            s = cluster.state
-            assert s.cumulative_arrived == pytest.approx(
-                s.cumulative_served + s.queue_depth)
+            assert cluster.cumulative_arrived == pytest.approx(
+                cluster.cumulative_served + cluster.queue_depth)
             # pending replicas only exist when no node has room
-            if s.pending_replicas > 0:
-                assert s.free_slots == 0
+            if cluster.pending_replicas > 0:
+                assert cluster.free_slots == 0
         cluster.check_invariants()
-        assert cluster.state.live_nodes <= params.max_nodes
+        assert cluster.live_nodes <= params.max_nodes
 
 
 # The cohort model against the per-pod reference: same operations, same
@@ -476,29 +527,29 @@ diff_ops = st.lists(
 
 
 def assert_same(cluster, ref, look):
-    s = cluster.state
     if look:
-        assert s.ready_replicas == ref.ready_replicas
-    assert s.time == ref.time
-    assert s.total_replicas == ref.total_replicas
-    assert s.pending_replicas == ref.pending_replicas
-    assert s.active_nodes == ref.active_nodes
-    assert s.live_nodes == ref.live_nodes
-    assert s.free_slots == ref.free_slots
-    assert s.queue_depth == ref.queue_depth
+        assert cluster.ready_replicas == ref.ready_replicas
+    assert cluster.time == ref.time
+    assert cluster.total_replicas == ref.total_replicas
+    assert cluster.pending_replicas == ref.pending_replicas
+    assert cluster.active_nodes == ref.active_nodes
+    assert cluster.live_nodes == ref.live_nodes
+    assert cluster.free_slots == ref.free_slots
+    assert cluster.queue_depth == ref.queue_depth
     # the reference keeps every node it ever requested, retired ones too.
     # Rebuild each active node's (pods, idle_since) in id order: the busy
     # nodes, full but the last, then the emptied nodes newest first, then
     # the fresh ones oldest first, each run expanded into its nodes
-    cap = s.params.node_capacity
-    busy, last = divmod(s.total_replicas, cap)
+    cap = cluster.params.node_capacity
+    busy, last = divmod(cluster.total_replicas, cap)
     nodes = [(cap, None)] * busy + [(last, None)] * (last > 0)
-    nodes += [(0, run.t) for run in reversed(s.emptied)
+    nodes += [(0, run.t) for run in reversed(cluster.emptied)
               for _ in range(run.count)]
-    nodes += [(0, run.t) for run in s.fresh for _ in range(run.count)]
+    nodes += [(0, run.t) for run in cluster.fresh for _ in range(run.count)]
     assert nodes == [(n.used, n.idle_since) for n in ref.nodes if n.active]
     # and the nodes on their way, by activation time
-    assert [run.t for run in s.provisioning for _ in range(run.count)] == \
+    assert [run.t for run in cluster.provisioning
+            for _ in range(run.count)] == \
         [n.provisioned_at for n in ref.nodes if not n.active and not n.retired]
     cluster.check_invariants()
 
@@ -704,7 +755,7 @@ def healthy_cluster():
     c.step(0, MODEL, 1.0)
     c.schedule(8)
     c.provision_node(1)
-    assert c.state.ready_replicas == 6
+    assert c.ready_replicas == 6
     return c
 
 
@@ -712,14 +763,15 @@ def healthy_cluster():
 def test_check_invariants_catches_each_corruption(corrupt, message):
     c = healthy_cluster()
     c.check_invariants()
-    corrupt(c.state)
+    corrupt(c)
     with pytest.raises(AssertionError, match=message):
         c.check_invariants()
 
 
 @corruption_params
 def test_run_reports_each_corruption(monkeypatch, corrupt, message):
-    scn = dataclasses.replace(bundled_scenario("bursty"), horizon=600)
+    scn = dataclasses.replace(parse_scenario(bundled_doc("bursty")),
+                              horizon=600)
     step = Cluster.step
     ticks = []
 
@@ -727,7 +779,7 @@ def test_run_reports_each_corruption(monkeypatch, corrupt, message):
         ready = step(self, *args)
         ticks.append(None)
         if len(ticks) == 400:
-            corrupt(self.state)
+            corrupt(self)
         return ready
 
     monkeypatch.setattr(Cluster, "step", corrupting_step)
@@ -740,7 +792,9 @@ def test_optimized_python_still_reports_a_corruption():
     code = textwrap.dedent("""
         import dataclasses
         from slosim.runner import SimulationError, run
-        from slosim.scenario import bundled_scenario
+        from pathlib import Path
+        import slosim
+        from slosim.scenario import load_scenario
         from slosim.sim import Cluster
         step = Cluster.step
         ticks = []
@@ -748,10 +802,12 @@ def test_optimized_python_still_reports_a_corruption():
             ready = step(self, *args)
             ticks.append(None)
             if len(ticks) == 400:
-                self.state.pending_replicas = -1
+                self.pending_replicas = -1
             return ready
         Cluster.step = corrupting_step
-        scn = dataclasses.replace(bundled_scenario("bursty"), horizon=600)
+        scn = load_scenario(
+            Path(slosim.__file__).parent / "scenarios" / "bursty.json")
+        scn = dataclasses.replace(scn, horizon=600)
         try:
             run(scn, "proposed")
         except SimulationError as exc:

@@ -23,14 +23,13 @@ from slosim.workload import (
     _batch_bulk,
     _lognormal_draws,
     _seed_words,
-    analytic_mean_rate,
     arrivals_at,
     burst_onsets,
     in_burst,
     peak_arrivals,
 )
 
-from helpers import arrivals_oracle
+from helpers import analytic_mean_rate, arrivals_oracle
 
 BURSTY = WorkloadSpec(kind="bursty", base_rate=50, burst_amplitude=4,
                       burst_duration=60, burst_interval=600)
@@ -317,8 +316,11 @@ def test_noiseless_run_never_imports_numpy_random():
     """numpy.random costs interpreter start-up time; only noise needs it."""
     code = textwrap.dedent("""
         import sys
+        from pathlib import Path
+        import slosim
         from slosim import cli, metrics, runner, scenario
-        scn = scenario.bundled_scenario("bursty")
+        scn = scenario.load_scenario(
+            Path(slosim.__file__).parent / "scenarios" / "bursty.json")
         assert scn.workload.noise_std == 0
         for kind in scn.controllers:
             trace = runner.run(scn, kind)
