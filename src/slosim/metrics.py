@@ -60,8 +60,6 @@ CSV_COLUMNS = {
 def slo_violations(trace: RunTrace, slo_latency_target: float
                    ) -> tuple[int, float]:
     """Count maximal runs of consecutive ticks with latency above target."""
-    if not trace.latency:
-        raise ValueError("empty trace")
     count = 0
     violating = 0
     in_episode = False
@@ -115,8 +113,6 @@ def time_to_scale(trace: RunTrace, wspec: WorkloadSpec, mu: float,
 
 def cost_metrics(trace: RunTrace, cfg: ControllerConfig
                  ) -> tuple[float, float, float]:
-    if not trace.nodes_active:
-        raise ValueError("empty trace")
     node_hours = sum(trace.nodes_active) * trace.tick / 3600.0
     replica_hours = sum(trace.ready) * trace.tick / 3600.0
     cost = (node_hours * cfg.cost_per_node_hour
@@ -137,8 +133,6 @@ def scale_events(trace: RunTrace) -> list[tuple[float, int]]:
 
 
 def stability_metrics(trace: RunTrace) -> tuple[int, int, int]:
-    if not trace.arrivals:
-        raise ValueError("empty trace")
     events = scale_events(trace)
     churn = sum(abs(d) for _, d in events)
     oscillations = 0
@@ -150,6 +144,9 @@ def stability_metrics(trace: RunTrace) -> tuple[int, int, int]:
 
 def build_report(trace: RunTrace, wspec: WorkloadSpec,
                  cfg: ControllerConfig, mu: float) -> MetricsReport:
+    """The metrics of one run; a trace without rows has none."""
+    if not trace.arrivals:
+        raise ValueError("empty trace")
     count, duration = slo_violations(trace, cfg.slo_latency_target)
     node_hours, replica_hours, cost = cost_metrics(trace, cfg)
     events, oscillations, churn = stability_metrics(trace)

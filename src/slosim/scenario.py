@@ -173,4 +173,7 @@ def load_scenario(path) -> ScenarioConfig:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise ConfigError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"{path}: the JSON document nests too deeply"
+                              ) from exc
     return parse_scenario(doc)

@@ -26,9 +26,13 @@ their way. Pods placed at one time are interchangeable, and so are nodes of
 one kind that went idle at one time, and nodes requested at one time, so
 all of them are kept as cohorts: a time and a count. A pod cohort's time is
 when its pods are ready, and the pods still starting are the cohorts at the
-tail whose time is ahead. A node request is one call that adds at most one
-cohort, and `nodes_for` is the one rule for how many nodes hold a number
-of pods. `Cluster.check_invariants` checks every stored fact on every tick.
+tail whose time is ahead. Items join a sequence at its right end with a
+time no earlier than its last cohort's, and `_add_cohort` merges equal
+times, so every cohort sequence, pods included, holds non-empty cohorts
+whose times strictly increase. A node request is one call that adds at
+most one cohort, and `nodes_for` is the one rule for how many nodes hold a
+number of pods. `Cluster.check_invariants` checks every stored fact on
+every tick, and one walk, `_cohort_total`, checks each cohort sequence.
 
 The cluster is one object: `ClusterState` holds the data and the counts
 derived from it, and `Cluster` is a `ClusterState` with the operations
@@ -84,6 +88,25 @@ def _add_cohort(cohorts: list[Cohort] | deque[Cohort], t: float, count: int):
         cohorts.append(Cohort(t, count))
 
 
+def _cohort_total(cohorts: list[Cohort] | deque[Cohort], empty: str,
+                  disorder: str) -> int:
+    """The summed count of `cohorts`, after checking that every cohort is
+    non-empty and that the times strictly increase along them. A failed
+    check raises AssertionError(empty) or AssertionError(disorder) itself,
+    so that `python -O` keeps it."""
+    total = 0
+    prev_t = -math.inf
+    for cohort in cohorts:
+        t, count = cohort.t, cohort.count
+        if not count > 0:
+            raise AssertionError(empty)
+        if not t > prev_t:
+            raise AssertionError(disorder)
+        prev_t = t
+        total += count
+    return total
+
+
 @dataclass
 class ClusterParams:
     initial_nodes: int = 2
@@ -115,10 +138,10 @@ class ClusterState:
     `replicas` holds cohorts in placement order, newest last, and
     `total_replicas` is the sum of their counts; a cohort's time is when
     its pods are ready. Pods are placed at the current time with the
-    constant `pod_start_delay >= 0`, and time only moves forward, so the
-    ready times never decrease along the list: the pods still starting are
-    the cohorts at the tail whose time is ahead, and `ready_replicas` is
-    the total less those.
+    constant `pod_start_delay >= 0`, time only moves forward, and pods
+    placed at one ready time join one cohort, so the ready times strictly
+    increase along the list: the pods still starting are the cohorts at the
+    tail whose time is ahead, and `ready_replicas` is the total less those.
 
     The occupied slots are a prefix of the active nodes in id order (see
     the module docstring), so `nodes_for(total_replicas, node_capacity)` of
@@ -131,9 +154,9 @@ class ClusterState:
     and then part of one. Both retire whole cohorts from the left, and a
     retired node is gone for good. `provisioning` holds the cohorts of
     nodes on their way, by activation time, oldest first; a step activates
-    whole cohorts from the left. Adjacent cohorts of one deque never share
-    a time, so the times strictly increase along it. `time` is `ticks`
-    steps of the fixed tick.
+    whole cohorts from the left. As in `replicas`, adjacent cohorts of one
+    sequence never share a time, so the times strictly increase along
+    every one of the four. `time` is `ticks` steps of the fixed tick.
     """
 
     # the fixed limits this state evolves under; the operations and the
@@ -351,7 +374,7 @@ class Cluster(ClusterState):
     def check_invariants(self):
         """Check every stored fact; O(cohorts). Each check raises
         AssertionError itself, so that `python -O` keeps it."""
-        if not self.queue_depth >= -1e-9:
+        if not self.queue_depth >= 0.0:
             raise AssertionError("negative queue")
         if not self.pending_replicas >= 0:
             raise AssertionError("negative pending")
@@ -359,51 +382,18 @@ class Cluster(ClusterState):
                    - self.queue_depth) < 1e-6:
             raise AssertionError("request conservation violated")
 
-        total = 0
-        prev_t = -math.inf
-        for cohort in self.replicas:
-            t, count = cohort.t, cohort.count
-            if not count > 0:
-                raise AssertionError("empty cohort")
-            if not t >= prev_t:
-                raise AssertionError("cohorts out of ready_at order")
-            prev_t = t
-            total += count
+        # every cohort sequence holds non-empty cohorts in the strict time
+        # order its scans, fills and merges rely on
+        total = _cohort_total(self.replicas, "empty cohort",
+                              "cohorts out of ready_at order")
         if self.total_replicas != total:
             raise AssertionError("replica counter drifted")
-
-        # each deque holds non-empty cohorts in the strict time order its
-        # scans and the fill order rely on, so no two adjacent cohorts share
-        # a time
-        idle = 0
-        prev_t = -math.inf
-        for cohort in self.emptied:
-            t, count = cohort.t, cohort.count
-            if not count > 0:
-                raise AssertionError("empty emptied run")
-            if not t > prev_t:
-                raise AssertionError("emptied nodes out of order")
-            prev_t = t
-            idle += count
-        prev_t = -math.inf
-        for cohort in self.fresh:
-            t, count = cohort.t, cohort.count
-            if not count > 0:
-                raise AssertionError("empty fresh run")
-            if not t > prev_t:
-                raise AssertionError("fresh nodes out of order")
-            prev_t = t
-            idle += count
-        incoming = 0
-        prev_t = -math.inf
-        for cohort in self.provisioning:
-            t, count = cohort.t, cohort.count
-            if not count > 0:
-                raise AssertionError("empty provisioning run")
-            if not t > prev_t:
-                raise AssertionError("provisioning nodes out of order")
-            prev_t = t
-            incoming += count
+        idle = (_cohort_total(self.emptied, "empty emptied run",
+                              "emptied nodes out of order")
+                + _cohort_total(self.fresh, "empty fresh run",
+                                "fresh nodes out of order"))
+        incoming = _cohort_total(self.provisioning, "empty provisioning run",
+                                 "provisioning nodes out of order")
 
         # the prefix rule: every active node is busy, with exactly enough
         # room for the pods, or idle in exactly one cohort

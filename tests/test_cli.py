@@ -142,11 +142,20 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="seed"):
             parse_scenario(doc)
 
-    def test_invalid_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError):
-            load_scenario(path)
+    def test_invalid_json_file(self, tmp_path, capsys):
+        # `json.load` raises RecursionError on the nested document; both
+        # commands must still exit 1 with one line and no traceback
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            path = tmp_path / "bad.json"
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                load_scenario(path)
+            assert main(["validate", str(path)]) == EXIT_CONFIG
+            assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                         "--quiet"]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 2 and "Traceback" not in err
+        assert "nests too deeply" in err
 
 
 class TestSections:

@@ -73,10 +73,6 @@ class TestSloViolations:
     def test_latency_equal_to_target_is_compliant(self):
         assert slo_violations(make_trace(5, latency=SLO), SLO) == (0, 0)
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            slo_violations(make_trace(0), SLO)
-
     def test_fractional_tick_duration_does_not_drift(self):
         trace = make_trace(10, latency=0.3, tick=0.1)
         assert slo_violations(trace, SLO) == (1, 1.0)
@@ -188,6 +184,13 @@ class TestStabilityMetrics:
         trace = make_trace(10 * len(targets) + 20, actions=actions, initial=1)
         _, _, churn = stability_metrics(trace)
         assert churn >= abs(targets[-1] - 1)
+
+
+class TestBuildReport:
+    def test_empty_trace_rejected(self):
+        wspec = WorkloadSpec(kind="bursty", base_rate=5)
+        with pytest.raises(ValueError, match="^empty trace$"):
+            build_report(make_trace(0), wspec, ControllerConfig(), 10.0)
 
 
 class TestCompare:

@@ -23,6 +23,7 @@ from slosim.sim import (
     ClusterState,
     Cohort,
     ServiceModel,
+    _cohort_total,
     nodes_for,
     observe_latency,
 )
@@ -629,6 +630,14 @@ def add_empty_cohort(s):
     s.replicas.insert(0, Cohort(0.0, 0))
 
 
+def split_pod_cohort(s):
+    # two adjacent pod cohorts with one ready time: the count fits, the
+    # merge is missing
+    last = s.replicas[-1]
+    last.count -= 1
+    s.replicas.append(Cohort(last.t, 1))
+
+
 def drift_total_replicas(s):
     s.total_replicas += 1
 
@@ -657,6 +666,11 @@ def empty_provisioning_run(s):
 
 def negative_queue(s):
     s.queue_depth = -1.0
+
+
+def subnormal_negative_queue(s):
+    # the least float below zero; a served backlog is exactly +0.0
+    s.queue_depth = -5e-324
 
 
 def negative_pending(s):
@@ -712,12 +726,14 @@ CORRUPTIONS = [
     (break_conservation, "request conservation violated"),
     (misorder_cohorts, "cohorts out of ready_at order"),
     (add_empty_cohort, "empty cohort"),
+    (split_pod_cohort, "cohorts out of ready_at order"),
     (drift_total_replicas, "replica counter drifted"),
     (track_busy_node_as_idle, NODE_COUNT),
     (keep_idle_node_busy, NODE_COUNT),
     (misorder_provisioning, "provisioning nodes out of order"),
     (empty_provisioning_run, "empty provisioning run"),
     (negative_queue, "negative queue"),
+    (subnormal_negative_queue, "negative queue"),
     (negative_pending, "negative pending"),
     (untrack_empty_node, NODE_COUNT),
     (misorder_idle, "emptied nodes out of order"),
@@ -733,19 +749,41 @@ corruption_params = pytest.mark.parametrize(
 
 
 def test_every_invariant_has_a_corruption():
-    source = textwrap.dedent(inspect.getsource(Cluster.check_invariants))
-    tree = ast.parse(source)
-    # every check raises AssertionError(message) itself; nothing asserts,
-    # so `python -O` strips none of them
-    assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
-    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)]
-    assert all(isinstance(node.exc, ast.Call)
-               and node.exc.func.id == "AssertionError"
-               and len(node.exc.args) == 1
-               and isinstance(node.exc.args[0], ast.Constant)
-               for node in raises)
-    checked = {node.exc.args[0].value for node in raises}
-    assert len(checked) == len(raises)
+    def parse(function):
+        return ast.parse(textwrap.dedent(inspect.getsource(function))).body[0]
+
+    def raised(tree):
+        """The one argument of each `raise AssertionError(...)` in `tree`."""
+        # every check raises AssertionError(message) itself; nothing
+        # asserts, so `python -O` strips none of them
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+        raises = [node.exc for node in ast.walk(tree)
+                  if isinstance(node, ast.Raise)]
+        assert all(isinstance(exc, ast.Call)
+                   and exc.func.id == "AssertionError"
+                   and len(exc.args) == 1 and not exc.keywords
+                   for exc in raises)
+        return [exc.args[0] for exc in raises]
+
+    check, walk = parse(Cluster.check_invariants), parse(_cohort_total)
+    # the cohort walk raises only the messages its caller passes, each of
+    # them
+    walk_params = [arg.arg for arg in walk.args.args[1:]]
+    walk_raised = raised(walk)
+    assert all(isinstance(arg, ast.Name) for arg in walk_raised)
+    assert sorted(arg.id for arg in walk_raised) == sorted(walk_params)
+    # so the messages are the constants check_invariants raises and the
+    # constants it passes to the walk
+    messages = raised(check)
+    for node in ast.walk(check):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == walk.name:
+            assert len(node.args) == 1 + len(walk_params) \
+                and not node.keywords
+            messages += node.args[1:]
+    assert all(isinstance(arg, ast.Constant) for arg in messages)
+    checked = {arg.value for arg in messages}
+    assert len(checked) == len(messages)
     assert checked == {message for _, message in CORRUPTIONS}
 
 
