@@ -27,12 +27,6 @@ COOLDOWN_HOLD = "cooldown_hold"
 COST_FLOOR = "cost_floor"
 TOLERANCE_SKIP = "tolerance_skip"
 
-# Stabilization candidates are kept for the longest window and for at least
-# this long. Any retention that covers the windows gives the same decisions;
-# with less than an hour, fleet_x100's peak resident set rose from 2.5 to
-# 3.0 MB while its traced Python allocations stayed the same.
-MIN_CANDIDATE_RETENTION = 3600.0
-
 
 @dataclass(frozen=True)
 class ControllerConfig:
@@ -148,7 +142,8 @@ class GuardrailState:
     window of any length up to `keep` sees every candidate inside it.
     """
 
-    candidates: deque = field(default_factory=deque)  # (t, candidate replicas)
+    # (t, candidate replicas), filled by `record_candidate` only
+    candidates: deque = field(default_factory=deque, init=False)
     last_scale_up_t: float = -math.inf
 
     def record_candidate(self, t: float, candidate: int,
@@ -159,13 +154,7 @@ class GuardrailState:
 
     def window(self, t: float, length: float) -> list[int]:
         """Candidates recorded in [t - length, t], newest first."""
-        cutoff = t - length
-        values = []
-        for ct, c in reversed(self.candidates):
-            if ct < cutoff:
-                break
-            values.append(c)
-        return values
+        return [c for ct, c in reversed(self.candidates) if ct >= t - length]
 
 
 def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
@@ -175,10 +164,9 @@ def enforce_guardrails(candidate: int, current: int, cfg: ControllerConfig,
     if candidate < 0:
         raise ValueError("candidate must be >= 0")
     constraints: list[str] = []
-    history.record_candidate(now, candidate,
-                             keep=max(MIN_CANDIDATE_RETENTION,
-                                      cfg.scale_up_stabilization,
-                                      cfg.scale_down_stabilization))
+    # no window reaches back further than the longer one
+    keep = max(cfg.scale_up_stabilization, cfg.scale_down_stabilization)
+    history.record_candidate(now, candidate, keep)
     # each window below ends at `now` and is >= 0 long, so it holds the
     # candidate just recorded and is never empty
     value = candidate

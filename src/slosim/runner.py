@@ -40,25 +40,25 @@ class RunTrace:
     accepted rates. `latency` is a list too: on row 0, with no replica
     ready, it is the latency cap as given, which may be an int. `queue` and
     `utilization` are always floats. `decisions[i]` was made during row
-    `decision_rows[i]`, and its action is that row's action. Rows are added
-    with `append` only, which keeps the columns the same length.
+    `decision_rows[i]`, and its action is that row's action. The
+    constructor takes no column: rows are added with `append` only, which
+    keeps the columns the same length.
     """
 
     controller: str
-    seed: int
     tick: float
     horizon: float
     initial_replicas: int
-    arrivals: list[int] = field(default_factory=list)
-    ready: list[int] = field(default_factory=list)
-    starting: list[int] = field(default_factory=list)
-    pending: list[int] = field(default_factory=list)
-    nodes_active: list[int] = field(default_factory=list)
-    queue: array = field(default_factory=lambda: array("d"))
-    latency: list[float] = field(default_factory=list)
-    utilization: array = field(default_factory=lambda: array("d"))
-    decisions: list[DecisionRecord] = field(default_factory=list)
-    decision_rows: list[int] = field(default_factory=list)
+    arrivals: list[int] = field(default_factory=list, init=False)
+    ready: list[int] = field(default_factory=list, init=False)
+    starting: list[int] = field(default_factory=list, init=False)
+    pending: list[int] = field(default_factory=list, init=False)
+    nodes_active: list[int] = field(default_factory=list, init=False)
+    queue: array = field(default_factory=lambda: array("d"), init=False)
+    latency: list[float] = field(default_factory=list, init=False)
+    utilization: array = field(default_factory=lambda: array("d"), init=False)
+    decisions: list[DecisionRecord] = field(default_factory=list, init=False)
+    decision_rows: list[int] = field(default_factory=list, init=False)
 
     def append(self, arrivals: int, ready: int, starting: int, pending: int,
                nodes_active: int, queue: float, latency: float,
@@ -171,7 +171,7 @@ def run(scn: ScenarioConfig, controller_kind: str,
                                  mu=scn.service.per_replica_rate,
                                  node_capacity=scn.cluster.node_capacity)
 
-    trace = RunTrace(controller=controller_kind, seed=seed, tick=scn.tick,
+    trace = RunTrace(controller=controller_kind, tick=scn.tick,
                      horizon=scn.horizon, initial_replicas=cfg.min_replicas)
     n_ticks = int(round(scn.horizon / scn.tick))
     interval_ticks = int(round(cfg.control_interval / scn.tick))

@@ -16,10 +16,19 @@ from .sim import ClusterParams, ServiceModel
 from .workload import SEED_LIMIT, WorkloadSpec, peak_arrivals
 
 SCHEMA_VERSION = 1
+_SHOWN_CHARS = 200  # the most of a document value an error message echoes
 
 
 class ConfigError(ValueError):
     """Invalid scenario document."""
+
+
+def _shown(text: str) -> str:
+    """A document value's text as an error message echoes it: whole when it
+    is at most _SHOWN_CHARS characters, else cut there with a marker, so
+    that the message stays one short line however large the value."""
+    return text if len(text) <= _SHOWN_CHARS else (
+        f"{text[:_SHOWN_CHARS]}... ({len(text) - _SHOWN_CHARS} more characters)")
 
 
 @dataclass(frozen=True)
@@ -40,8 +49,8 @@ class ScenarioConfig:
         if self.name in ("", ".", "..") \
                 or any(c in self.name for c in ("/", "\\", "\0")):
             raise ConfigError(
-                f"name: {self.name!r} is not a plain directory name (not "
-                "'.' or '..', and without '/', '\\' or NUL)")
+                f"name: {_shown(repr(self.name))} is not a plain directory"
+                " name (not '.' or '..', and without '/', '\\' or NUL)")
         if self.tick <= 0:
             raise ConfigError("tick: must be > 0")
         # the run loop counts both in whole ticks
@@ -69,7 +78,8 @@ class ScenarioConfig:
                 f"must lie in [0, {SEED_LIMIT})")
         for i, kind in enumerate(self.controllers):
             if kind not in CONTROLLER_KINDS:
-                raise ConfigError(f"controllers: unknown kind {kind!r}")
+                raise ConfigError(
+                    f"controllers: unknown kind {_shown(repr(kind))}")
             if kind in self.controllers[:i]:
                 raise ConfigError(f"controllers: kind {kind!r} repeated")
         if len(self.controllers) < 2:
@@ -85,7 +95,8 @@ def _number(where: str, value):
             return value
     except OverflowError:  # an int past the float range
         pass
-    raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    raise ConfigError(
+        f"{where}: expected a finite number, got {_shown(repr(value))}")
 
 
 def _integer(where: str, value) -> int:
@@ -143,7 +154,8 @@ def _build(section: str, doc, cls):
     types = get_type_hints(cls)
     unknown = sorted(set(doc) - set(types))
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {', '.join(unknown)}")
+        raise ConfigError(
+            f"{section}: unknown key(s) {_shown(', '.join(unknown))}")
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING \
                 and f.name not in doc:
@@ -155,7 +167,7 @@ def _build(section: str, doc, cls):
     except ConfigError:
         raise  # ScenarioConfig's own checks already name their field
     except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+        raise ConfigError(f"{section}: {_shown(str(exc))}") from exc
 
 
 def parse_scenario(doc: dict) -> ScenarioConfig:

@@ -132,8 +132,9 @@ class ClusterState:
     """Everything a tick reads: cohorts, node counts and idle times, counters.
 
     The base of `Cluster`, which adds the operations; controllers read a
-    cluster through this type. Equality is identity, so a cluster stays
-    hashable.
+    cluster through this type. Its constructor takes the `params` alone:
+    every other field starts at zero or empty and changes only through the
+    operations. Equality is identity, so a cluster stays hashable.
 
     `replicas` holds cohorts in placement order, newest last, and
     `total_replicas` is the sum of their counts; a cohort's time is when
@@ -161,14 +162,14 @@ class ClusterState:
 
     # the fixed limits this state evolves under; the operations and the
     # controllers read them here
-    params: ClusterParams = field(default_factory=ClusterParams)
-    time: float = 0.0
-    ticks: int = 0
-    replicas: list[Cohort] = field(default_factory=list)
-    pending_replicas: int = 0
-    queue_depth: float = 0.0
-    cumulative_served: float = 0.0
-    cumulative_arrived: float = 0.0
+    params: ClusterParams
+    time: float = field(default=0.0, init=False)
+    ticks: int = field(default=0, init=False)
+    replicas: list[Cohort] = field(default_factory=list, init=False)
+    pending_replicas: int = field(default=0, init=False)
+    queue_depth: float = field(default=0.0, init=False)
+    cumulative_served: float = field(default=0.0, init=False)
+    cumulative_arrived: float = field(default=0.0, init=False)
     total_replicas: int = field(default=0, init=False)
     active_nodes: int = field(default=0, init=False)
     provisioning: deque[Cohort] = field(default_factory=deque, init=False)

@@ -380,7 +380,7 @@ def random_trace(seed):
     tick = rng.choice([1.0, 2.0])
     n = rng.randint(20, 120)
     initial = rng.randint(1, 5)
-    trace = RunTrace(controller="proposed", seed=seed, tick=tick,
+    trace = RunTrace(controller="proposed", tick=tick,
                      horizon=n * tick, initial_replicas=initial)
     for k in range(n):
         decision = None

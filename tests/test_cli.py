@@ -375,6 +375,28 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == EXIT_CONFIG
         assert "controllers" in capsys.readouterr().err
 
+    # each message once echoed the whole value: the seed's line was 3 MB
+    @pytest.mark.parametrize("field,edit", [
+        ("document.seed", lambda doc: doc.update(seed=[1] * 10**6)),
+        ("name:", lambda doc: doc.update(name="a/" + "b" * (10**6 - 2))),
+        ("workload: unknown key(s)", lambda doc: doc["workload"].update(
+            {f"key{i}": 1 for i in range(10**5)})),
+        ("workload: unknown workload kind",
+         lambda doc: doc["workload"].update(kind="k" * 10**6)),
+        ("controllers: unknown kind",
+         lambda doc: doc.update(controllers=["proposed", "k" * 10**6])),
+    ], ids=["seed", "name", "workload_keys", "workload_kind",
+            "controller_kind"])
+    def test_long_rejected_value_is_cut_short(self, tmp_path, capsys, field,
+                                              edit):
+        doc = bundled_doc("bursty")
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+        assert field in err and "Traceback" not in err
+
 
 # Every numeric field of every section, and the edge values the property
 # below sets them to. A huge count is 10**4 rather than 1e300: counts have no

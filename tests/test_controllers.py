@@ -157,6 +157,15 @@ class TestEnforceGuardrails:
             assert (t, got, constraints) == (t, 30, [STABILIZATION_HOLD])
         assert enforce_guardrails(5, 30, cfg, history, 5415.0) == (5, [])
 
+    def test_candidates_are_kept_for_the_longest_window_only(self):
+        cfg = ControllerConfig(scale_up_stabilization=0.0,
+                               scale_down_stabilization=120.0)
+        history = GuardrailState()
+        enforce_guardrails(4, 4, cfg, history, 0.0)
+        enforce_guardrails(4, 4, cfg, history, 135.0)
+        # no window reaches back past 120 s, so the candidate at t=0 is gone
+        assert list(history.candidates) == [(135.0, 4)]
+
     def test_scale_up_damped_to_window_minimum(self):
         cfg = ControllerConfig(scale_up_stabilization=60.0)
         history = GuardrailState()

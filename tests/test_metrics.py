@@ -39,7 +39,7 @@ def make_trace(n_ticks, latency=0.1, nodes=1, ready=1, actions=None,
     def at(value, k):
         return value[k] if isinstance(value, (list, tuple)) else value
 
-    trace = RunTrace(controller="default_hpa", seed=0, tick=tick,
+    trace = RunTrace(controller="default_hpa", tick=tick,
                      horizon=n_ticks * tick, initial_replicas=initial)
     for k in range(n_ticks):
         t = k * tick

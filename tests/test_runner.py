@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slosim import runner, workload
-from slosim.controllers import (DecisionRecord, HpaController, ScalingAction,
-                                SloCostController)
+from slosim.controllers import (DecisionRecord, GuardrailState, HpaController,
+                                ScalingAction, SloCostController)
 from slosim.runner import RunTrace, TraceRows, run
 from slosim.scenario import parse_scenario
 from slosim.signals import SignalSnapshot
-from slosim.sim import Cluster, nodes_for
+from slosim.sim import Cluster, ClusterState, nodes_for
 
 from helpers import (bundled_doc, json_decision_lines, json_trace_lines,
                      make_cluster, make_decision)
@@ -24,7 +24,7 @@ from helpers import (bundled_doc, json_decision_lines, json_trace_lines,
 
 def small_trace():
     """Four rows at half-second ticks, with decisions on rows 1 and 2."""
-    trace = RunTrace(controller="proposed", seed=0, tick=0.5, horizon=2.0,
+    trace = RunTrace(controller="proposed", tick=0.5, horizon=2.0,
                      initial_replicas=1)
     trace.append(2, 0, 0, 1, 0, 2.0, 5, 1e6)
     trace.append(3, 1, 0, 0, 1, 0.0, 0.3, 0.6, make_decision(2, 1.0))
@@ -59,7 +59,7 @@ class TestRows:
 
         monkeypatch.setattr(TraceRows, "__getitem__", refuse)
         assert len(trace.rows) == 4
-        assert not len(RunTrace("proposed", 0, 1.0, 1.0, 1).rows)
+        assert not len(RunTrace("proposed", 1.0, 1.0, 1).rows)
 
     def test_run_rows_follow_the_tick_and_the_control_interval(self, all_runs,
                                                               scenarios):
@@ -103,7 +103,7 @@ class TestWriters:
         assert '"latency": NaN, "queue": Infinity, ' in decisions
 
     def test_an_int_beyond_the_float_range_is_written_whole(self):
-        trace = RunTrace(controller="proposed", seed=0, tick=1, horizon=1,
+        trace = RunTrace(controller="proposed", tick=1, horizon=1,
                          initial_replicas=1)
         trace.append(10**400, 0, 0, 1, 0, 0.0, 10**400, 0.0)
         assert trace.to_jsonl() == json_trace_lines(trace)
@@ -397,3 +397,18 @@ class TestDecisionSnapshot:
                 assert snap.utilization == 0
                 assert snap.pending == 0
                 assert snap.ready_replicas == scn.controller.min_replicas
+
+
+def test_state_constructors_take_only_what_callers_set():
+    # rows enter a trace through `append`, and a cluster's state and the
+    # guardrails' candidates through their own operations
+    assert {cls.__name__: [f.name for f in dataclasses.fields(cls) if f.init]
+            for cls in (RunTrace, ClusterState, GuardrailState)} == {
+        "RunTrace": ["controller", "tick", "horizon", "initial_replicas"],
+        "ClusterState": ["params"],
+        "GuardrailState": ["last_scale_up_t"],
+    }
+    # the call the benchmark's set-up makes still builds a cluster
+    scn = parse_scenario(bundled_doc("bursty"))
+    cluster = Cluster(scn.cluster, initial_replicas=3)
+    assert (cluster.params, cluster.ready_replicas) == (scn.cluster, 3)
