@@ -117,7 +117,8 @@ def estimate_slo_demand(s: SignalSnapshot, cfg: ControllerConfig,
     """Stage 2: replica requirement from forecast capacity and SLO severity."""
     n_cap = replicas_for(predicted_rate / (mu * cfg.target_utilization))
     if s.latency > cfg.slo_latency_target:
-        severity = max(1.0, s.latency / cfg.slo_latency_target)
+        # a correctly rounded x / y with x > y > 0 is at least 1.0
+        severity = s.latency / cfg.slo_latency_target
         return max(n_cap, replicas_for(s.ready_replicas * severity))
     return n_cap
 
@@ -146,8 +147,7 @@ class GuardrailState:
     candidates: deque = field(default_factory=deque, init=False)
     last_scale_up_t: float = -math.inf
 
-    def record_candidate(self, t: float, candidate: int,
-                         keep: float = math.inf):
+    def record_candidate(self, t: float, candidate: int, keep: float):
         self.candidates.append((t, candidate))
         while self.candidates[0][0] < t - keep:
             self.candidates.popleft()
@@ -370,14 +370,12 @@ def baseline_config(kind: str, cfg: ControllerConfig
                        scale_down_stabilization=120.0,
                        cooldown_after_scale_up=0.0,
                        max_step_up=8, max_step_down=unlimited), 0.35
-    raise ValueError(f"not a baseline kind: {kind}")
+    raise ValueError(f"unknown controller kind {kind!r}")
 
 
 def make_controller(kind: str, cfg: ControllerConfig, mu: float,
                     node_capacity: int):
     if kind == "proposed":
         return SloCostController(cfg, mu, node_capacity)
-    if kind in ("default_hpa", "tuned_hpa", "hpa_vpa"):
-        return HpaController(*baseline_config(kind, cfg), mu,
-                             with_vpa=(kind == "hpa_vpa"))
-    raise ValueError(f"unknown controller kind {kind!r}")
+    return HpaController(*baseline_config(kind, cfg), mu,
+                         with_vpa=(kind == "hpa_vpa"))

@@ -155,7 +155,7 @@ def _build(section: str, doc, cls):
     unknown = sorted(set(doc) - set(types))
     if unknown:
         raise ConfigError(
-            f"{section}: unknown key(s) {_shown(', '.join(unknown))}")
+            f"{section}: unknown key(s) {_shown(', '.join(map(repr, unknown)))}")
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING \
                 and f.name not in doc:

@@ -379,8 +379,18 @@ class Cluster(ClusterState):
             raise AssertionError("negative queue")
         if not self.pending_replicas >= 0:
             raise AssertionError("negative pending")
-        if not abs(self.cumulative_arrived - self.cumulative_served
-                   - self.queue_depth) < 1e-6:
+        # Each tick, `step` rounds at most six float operations on the three
+        # sums: arrivals to float and the add in `offered`, the subtraction
+        # in `queue_depth`, arrivals to float and the add in
+        # `cumulative_arrived`, the add in `cumulative_served`. Each result
+        # is at most `cumulative_arrived`, so each is off by at most 2**-53
+        # of it, and the two subtractions below round twice more. A larger
+        # gap is a leak; `step` keeps `cumulative_arrived` finite, so the
+        # bound is too.
+        gap = abs(self.cumulative_arrived - self.cumulative_served
+                  - self.queue_depth)
+        if not (gap < 1e-6 or gap <= (6 * self.ticks + 2) * 2**-53
+                * self.cumulative_arrived):
             raise AssertionError("request conservation violated")
 
         # every cohort sequence holds non-empty cohorts in the strict time

@@ -5,17 +5,19 @@ same spec and seed replayed against different controllers yield identical
 arrival streams.
 
 Blocks: `arrivals_at` answers a tick from a block of ticks, filled on
-first use by the per-tick formula. From tick 0 the blocks double, from
-`FIRST_BLOCK` ticks up to `NOISE_BLOCK`, and then stay that size, so a
-short run fills few ticks past its end. The filled blocks are shared
-by every later call on the same `WorkloadSpec` object, seed and tick
-length: in practice, by every controller run on one parsed scenario. The
-module keeps one slot, holding the spec itself, so a call on another spec,
-seed or tick length empties it. Noiseless specs ignore the seed, so all
-seeds share one column. The slot is keyed on identity rather than
-equality so that a share lasts no longer than the parsed scenario it
-serves: an experiment that parses its documents again computes its
-arrivals again, as a fresh `slosim run` would. A call fills only the
+first use by the per-tick formula. Tick k's block is the power-of-two
+range, aligned to its own size, that holds k, from `FIRST_BLOCK` to
+`NOISE_BLOCK` ticks long: [0, 64), [64, 128), [128, 256) and so on up to
+[512, 1024), then every 1024 ticks, so a short run fills few ticks past
+its end. The filled blocks are shared by every later call on the same
+`WorkloadSpec` object, seed and tick length: in practice, by every
+controller run on one parsed scenario. The module keeps one slot, holding
+the spec itself, so a call on another spec, seed or tick length empties
+it. Noiseless specs ignore the seed, so all seeds share one column. The
+slot is keyed on identity rather than equality so that a share lasts no
+longer than the parsed scenario it serves: an experiment that parses its
+documents again computes its arrivals again, as a fresh `slosim run`
+would. A block is a function of k alone, and a call fills only the
 blocks of the slot it read, from its own arguments, so calls from several
 threads may fill a block twice but never read a wrong one. A caller that
 alternates between specs, seeds or tick lengths refills a block at every
@@ -137,10 +139,8 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL = 4
-FIRST_BLOCK = 64    # ticks in the block of tick 0; each next one doubles
-NOISE_BLOCK = 1024  # ticks in each block once they stop doubling
-# ticks in the doubling blocks; NOISE_BLOCK / FIRST_BLOCK is a power of two
-_DOUBLING = NOISE_BLOCK - FIRST_BLOCK
+FIRST_BLOCK = 64    # ticks in the block of tick 0; a power of two
+NOISE_BLOCK = 1024  # ticks in each block from tick NOISE_BLOCK on; likewise
 
 
 def _powers(init: int, mult: int, n: int) -> np.ndarray:
@@ -256,14 +256,11 @@ def arrivals_at(spec: WorkloadSpec, seed: int, k: int, dt: float) -> int:
     if held is not spec or held_seed != seed or held_dt != dt:
         blocks = {}
         _shared = (spec, seed, dt, blocks)
-    if k < _DOUBLING:
-        # block j holds ticks [F * (2**j - 1), F * (2**(j+1) - 1)), F the
-        # first block's size
-        size = FIRST_BLOCK << ((k // FIRST_BLOCK + 1).bit_length() - 1)
-        start = size - FIRST_BLOCK
-    else:
-        size = NOISE_BLOCK
-        start = k - (k - _DOUBLING) % NOISE_BLOCK
+    # k's aligned power-of-two block: [2**j, 2**(j+1)) for k's top bit 2**j,
+    # widened to FIRST_BLOCK and cut to NOISE_BLOCK
+    size = NOISE_BLOCK if k >= NOISE_BLOCK else max(
+        FIRST_BLOCK, 1 << k.bit_length() >> 1)
+    start = k - k % size
     column = blocks.get(start)
     if column is None:
         column = blocks[start] = _fill(spec, seed, dt, start, size)

@@ -136,7 +136,7 @@ def _apply_guardrails(case):
                                                - cfg.min_replicas))
     history = GuardrailState(last_scale_up_t=last_up)
     for t, cand in sorted(prior):
-        history.record_candidate(t, cand)
+        history.record_candidate(t, cand, math.inf)
     final, _ = enforce_guardrails(candidate, current, cfg, history, now)
     return cfg, current, final
 

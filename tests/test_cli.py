@@ -171,7 +171,7 @@ class TestSections:
     ])
     def test_unknown_key_names_the_section(self, section, key):
         with pytest.raises(ConfigError,
-                           match=rf"^{section}: unknown key\(s\) {key}$"):
+                           match=rf"^{section}: unknown key\(s\) '{key}'$"):
             parse_scenario(with_value(section, key, 1))
 
     @pytest.mark.parametrize("section,key", [
@@ -303,6 +303,20 @@ class TestValidateCommand:
         assert len(err) == 2 and all("workload:" in line for line in err)
         assert not (tmp_path / "out").exists()
 
+    def test_fractional_sums_near_1e8_run(self, tmp_path, capsys):
+        """A rate of 3.3 per replica and a 0.5 s tick leave the request sums
+        fractional near 1e8; their rounding once read as a leak at
+        t=153.5, exit 2."""
+        doc = bundled_doc("bursty")
+        doc.update(tick=0.5, controllers=["default_hpa", "proposed"])
+        doc["workload"]["base_rate"] = 1e6
+        doc["service"]["per_replica_rate"] = 3.3
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_noise_past_the_float_range_beyond_the_horizon_runs(self,
                                                                tmp_path):
         """Arrivals are filled past the horizon; only ticks a run reads can
@@ -385,8 +399,11 @@ class TestValidateCommand:
          lambda doc: doc["workload"].update(kind="k" * 10**6)),
         ("controllers: unknown kind",
          lambda doc: doc.update(controllers=["proposed", "k" * 10**6])),
+        # a key is echoed with its escapes, so a newline splits no line
+        ("workload: unknown key(s) 'a\\nb'",
+         lambda doc: doc["workload"].update({"a\nb": 1})),
     ], ids=["seed", "name", "workload_keys", "workload_kind",
-            "controller_kind"])
+            "controller_kind", "workload_newline_key"])
     def test_long_rejected_value_is_cut_short(self, tmp_path, capsys, field,
                                               edit):
         doc = bundled_doc("bursty")
@@ -418,6 +435,9 @@ MAX_TICKS = 200
 # demand past the float range: 1e300 rps over 1e-9 rps per replica
 @example(name="bursty", edits=[(("workload", "base_rate"), "huge"),
                                (("service", "per_replica_rate"), 1e-9)])
+# request sums fractional and past 1e9, whose rounding is no leak
+@example(name="bursty", edits=[(("workload", "base_rate"), 1e8),
+                               (("service", "per_replica_rate"), 3.3)])
 def test_accepted_document_runs_and_reports(name, edits):
     """A document that parses runs every controller and reports; any other
     document is refused with ConfigError."""

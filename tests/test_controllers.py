@@ -141,7 +141,7 @@ class TestEnforceGuardrails:
         cfg = ControllerConfig(scale_down_stabilization=60.0,
                                cooldown_after_scale_up=0.0)
         history = GuardrailState()
-        history.record_candidate(10.0, 9)
+        history.record_candidate(10.0, 9, math.inf)
         got, constraints = enforce_guardrails(3, 9, cfg, history, 40.0)
         assert got == 9
         assert STABILIZATION_HOLD in constraints
@@ -169,7 +169,7 @@ class TestEnforceGuardrails:
     def test_scale_up_damped_to_window_minimum(self):
         cfg = ControllerConfig(scale_up_stabilization=60.0)
         history = GuardrailState()
-        history.record_candidate(10.0, 5)
+        history.record_candidate(10.0, 5, math.inf)
         got, constraints = enforce_guardrails(12, 4, cfg, history, 40.0)
         assert got == 5
         assert STABILIZATION_HOLD in constraints
@@ -357,7 +357,8 @@ class TestControllerFactory:
             assert hasattr(ctrl, "decide")
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^unknown controller kind 'rl_agent'$"):
             make_controller("rl_agent", ControllerConfig(), MU, 8)
 
     def test_tuned_baseline_is_more_eager_than_default(self):

@@ -150,7 +150,7 @@ class TestSharedArrivals:
     @staticmethod
     def parsed(name, noise_std):
         doc = bundled_doc(name)
-        doc.update(horizon=1200, tick=0.5)  # 2400 ticks: six blocks
+        doc.update(horizon=1200, tick=0.5)  # 2400 ticks: seven blocks
         doc["workload"]["noise_std"] = noise_std
         return parse_scenario(doc)
 
@@ -183,7 +183,7 @@ class TestSharedArrivals:
             # seed 3: each scenario's controllers back to back, reversed
             run_all([("bursty", a, kind, 3) for kind in reversed(a.controllers)])
             run_all([("mixed", b, kind, 3) for kind in reversed(b.controllers)])
-            assert fill.call_count == 2 * 6  # each block filled once
+            assert fill.call_count == 2 * 7  # each block filled once
             # seed 4: the two scenarios' runs alternate
             run_all([job for kind_a, kind_b in zip(reversed(a.controllers),
                                                    b.controllers)

@@ -825,6 +825,27 @@ def test_run_reports_each_corruption(monkeypatch, corrupt, message):
         run(scn, "proposed")
 
 
+def lose_request(s):
+    s.cumulative_arrived += 1.0
+
+
+@pytest.mark.parametrize("leak", [break_conservation, lose_request])
+def test_one_request_leak_near_1e8_is_caught(leak):
+    """Fractional sums near 1e8 round, within the bound the check allows;
+    one request more or less is still a leak."""
+    model = ServiceModel(per_replica_rate=3.3, base_latency=0.05,
+                         latency_cap=30.0)
+    c = make_cluster(ready=6, nodes=1)
+    for _ in range(300):
+        c.step(333_333, model, 0.5)
+        c.check_invariants()
+    assert 9e7 < c.cumulative_arrived < 1.1e8
+    assert c.cumulative_served % 1 and c.queue_depth % 1
+    leak(c)
+    with pytest.raises(AssertionError, match="request conservation violated"):
+        c.check_invariants()
+
+
 def test_optimized_python_still_reports_a_corruption():
     """`python -O` strips assert statements; the checks must not be ones."""
     code = textwrap.dedent("""

@@ -215,18 +215,18 @@ class TestSharedBlocks:
                                wraps=workload._fill) as fill:
             for k in range(120):
                 arrivals_at(spec, 6, k, 1.0)
-            # a 120-tick run fills 192 ticks
+            # a 120-tick run fills 128 ticks
             assert [call.args[3:] for call in fill.call_args_list] \
-                == [(0, FIRST_BLOCK), (FIRST_BLOCK, 2 * FIRST_BLOCK)]
+                == [(0, FIRST_BLOCK), (FIRST_BLOCK, FIRST_BLOCK)]
             for k in range(120, 3000):
                 arrivals_at(spec, 6, k, 1.0)
         assert [call.args[3:] for call in fill.call_args_list] \
-            == [(0, 64), (64, 128), (192, 256), (448, 512), (960, 1024),
-                (1984, 1024)]
+            == [(0, 64), (64, 64), (128, 128), (256, 256), (512, 512),
+                (1024, 1024), (2048, 1024)]
 
 
 # the first and last tick of each of the first six blocks
-BLOCK_EDGES = [0, 63, 64, 191, 192, 447, 448, 959, 960, 1983, 1984, 3007]
+BLOCK_EDGES = [0, 63, 64, 127, 128, 255, 256, 511, 512, 1023, 1024, 2047]
 
 
 @settings(max_examples=40, deadline=None)
