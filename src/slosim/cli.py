@@ -33,13 +33,15 @@ def run_experiment(scn: ScenarioConfig, outdir: Path,
             trace = run(scn, kind, seed=seed)
             run_dir = scenario_dir / kind / str(seed)
             run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "trace.jsonl").write_text(trace.to_jsonl())
+            with (run_dir / "trace.jsonl").open("w") as fh:
+                fh.writelines(trace.jsonl_rows())  # never held whole
             (run_dir / "decisions.jsonl").write_text(trace.decisions_to_jsonl())
             report = metrics.build_report(trace, scn.workload, scn.controller,
                                           scn.service.per_replica_rate)
             (run_dir / "report.json").write_text(
                 json.dumps(dataclasses.asdict(report), indent=2) + "\n")
             reports.append(report)
+            del trace  # or the next run would start with two traces alive
     aggregated = []
     for kind, reports in zip(scn.controllers, per_kind):
         aggregated.append(metrics.aggregate_reports(reports))

@@ -6,8 +6,9 @@ import bisect
 import json
 import math
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 from . import workload
 from .controllers import DecisionRecord, make_controller
@@ -20,11 +21,13 @@ from .sim import Cluster, nodes_for
 PENDING_TRIGGER_DELAY = 45.0
 
 # one trace.jsonl line; every value is `%s`-formatted, which writes an int
-# or a finite float as `json` does
-_ROW_TEMPLATE = (
+# or a finite float as `json` does. A row without a decision has its action
+# and decision id written in.
+_ROW_HEAD = (
     '{"t": %s, "arrivals": %s, "ready": %s, "starting": %s, "pending": %s, '
-    '"nodes_active": %s, "queue": %s, "latency": %s, "utilization": %s, '
-    '"action": %s, "decision_id": %s}\n')
+    '"nodes_active": %s, "queue": %s, "latency": %s, "utilization": %s, ')
+_DECISION_ROW = _ROW_HEAD + '"action": %s, "decision_id": %s}\n'
+_PLAIN_ROW = _ROW_HEAD + '"action": null, "decision_id": null}\n'
 
 
 class SimulationError(RuntimeError):
@@ -81,19 +84,27 @@ class RunTrace:
         """The rows as the dicts `to_jsonl` writes, built when indexed."""
         return TraceRows(self)
 
-    def to_jsonl(self) -> str:
-        n = len(self.arrivals)
-        tick = self.tick
-        actions = ["null"] * n
-        decision_ids = ["null"] * n
+    def jsonl_rows(self) -> Iterator[str]:
+        """The trace.jsonl lines in order, each formatted when it is read."""
+        rows = zip(map(self.tick.__mul__, range(len(self.arrivals))),
+                   self.arrivals, self.ready, self.starting, self.pending,
+                   self.nodes_active, _as_json(self.queue),
+                   _as_json(self.latency), _as_json(self.utilization))
+        return chain.from_iterable(self._row_runs(rows))
+
+    def _row_runs(self, rows) -> Iterator[Iterator[str]]:
+        """The lines of `rows` as runs: the plain rows before each decision
+        row, then that row alone, then the plain rows after the last."""
+        done = 0
         for i, (k, rec) in enumerate(zip(self.decision_rows, self.decisions)):
-            actions[k] = json.dumps(rec.action.__dict__)
-            decision_ids[k] = i
-        return "".join(map(_ROW_TEMPLATE.__mod__, zip(
-            [k * tick for k in range(n)], self.arrivals, self.ready,
-            self.starting, self.pending, self.nodes_active,
-            _as_json(self.queue), _as_json(self.latency),
-            _as_json(self.utilization), actions, decision_ids)))
+            yield map(_PLAIN_ROW.__mod__, islice(rows, k - done))
+            row = (*next(rows), json.dumps(rec.action.__dict__), i)
+            yield (_DECISION_ROW % row,)
+            done = k + 1
+        yield map(_PLAIN_ROW.__mod__, rows)
+
+    def to_jsonl(self) -> str:
+        return "".join(self.jsonl_rows())
 
     def decisions_to_jsonl(self) -> str:
         return "".join(json.dumps(_record_dict(rec)) + "\n"
@@ -134,13 +145,13 @@ class TraceRows(Sequence):
 
 def _as_json(column):
     """`column` ready for `%s`: itself when every value is finite, else each
-    value as `json` writes it (`NaN`, `Infinity`, `-Infinity`)."""
+    value as `json` writes it (`NaN`, `Infinity`, `-Infinity`) when read."""
     try:
         if all(map(math.isfinite, column)):
             return column
     except OverflowError:  # an int beyond the float range, written whole
         pass
-    return list(map(json.dumps, column))
+    return map(json.dumps, column)
 
 
 def _record_dict(rec: DecisionRecord) -> dict:

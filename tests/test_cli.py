@@ -2,7 +2,9 @@
 
 import copy
 import functools
+import hashlib
 import json
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -18,6 +20,7 @@ from slosim.sim import ClusterParams, ServiceModel
 from slosim.workload import WorkloadSpec
 
 from helpers import bundled_doc
+from test_golden import BUNDLED, GOLDEN
 
 MINIMAL = {
     "schema": 1,
@@ -599,6 +602,38 @@ class TestRunCommand:
                     rel = f"quick/{kind}/{seed}/{name}"
                     assert (outs[0] / rel).read_bytes() \
                         == (outs[1] / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_written_files_carry_the_golden_bytes(self, tmp_path, name):
+        """The goldens hash `to_jsonl`; the files are written row by row."""
+        doc = bundled_doc(name)
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--repeats", "1",
+                     "--quiet"]) == EXIT_OK
+        for kind in doc["controllers"]:
+            run_dir = out / name / kind / str(doc["seed"])
+            assert tuple(hashlib.sha256((run_dir / f).read_bytes()).hexdigest()
+                         for f in ("trace.jsonl", "decisions.jsonl")) \
+                == GOLDEN[(name, kind)], kind
+
+    def test_each_trace_is_dropped_before_the_next_run(self, tmp_path,
+                                                       monkeypatch):
+        inner = cli.run
+        traces = []
+        alive_at_start = []  # earlier traces still alive as each run starts
+
+        def watched_run(*args, **kwargs):
+            alive_at_start.append(sum(ref() is not None for ref in traces))
+            trace = inner(*args, **kwargs)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, "run", watched_run)
+        path = write_scenario(tmp_path, QUICK)
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--repeats", "2", "--quiet"]) == EXIT_OK
+        assert alive_at_start == [0, 0, 0, 0]
 
     def test_controller_filter_flag(self, tmp_path):
         path = write_scenario(tmp_path, QUICK)

@@ -4,6 +4,7 @@ requests it makes, and the arrivals its runs share."""
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -108,6 +109,33 @@ class TestWriters:
         trace.append(10**400, 0, 0, 1, 0, 0.0, 10**400, 0.0)
         assert trace.to_jsonl() == json_trace_lines(trace)
         assert '"t": 0, "arrivals": 1000' in trace.to_jsonl()
+
+    def test_decisions_on_the_first_and_the_last_row(self):
+        trace = RunTrace(controller="proposed", tick=2.5, horizon=7.5,
+                         initial_replicas=1)
+        trace.append(1, 1, 0, 0, 1, 0.0, 0.1, 0.5, make_decision(2, 0.0))
+        trace.append(2, 1, 1, 0, 1, 0.5, 0.2, 0.9)
+        trace.append(3, 2, 0, 0, 1, 0.0, 0.1, 0.7, make_decision(1, 5.0))
+        assert trace.to_jsonl() == json_trace_lines(trace)
+        assert [row["decision_id"] for row in trace.rows] == [0, None, 1]
+
+    def test_streamed_rows_hold_no_trace_text(self, tmp_path):
+        """Writing 6 h of rows one by one peaks far below the 10.5 MB that
+        writing the joined text needs."""
+        doc = bundled_doc("bursty")
+        doc.update(horizon=6 * 3600, seed=1)
+        doc["workload"]["noise_std"] = 0.3
+        trace = run(parse_scenario(doc), "proposed")
+        path = tmp_path / "trace.jsonl"
+        tracemalloc.start()
+        try:
+            with path.open("w") as fh:
+                fh.writelines(trace.jsonl_rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert path.read_text() == trace.to_jsonl()
 
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(["bursty", "mixed", "queue_driven"]),
