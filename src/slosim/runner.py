@@ -182,18 +182,22 @@ def run(scn: ScenarioConfig, controller_kind: str,
                                  mu=scn.service.per_replica_rate,
                                  node_capacity=scn.cluster.node_capacity)
 
-    trace = RunTrace(controller=controller_kind, tick=scn.tick,
+    tick, spec, service = scn.tick, scn.workload, scn.service
+    trace = RunTrace(controller=controller_kind, tick=tick,
                      horizon=scn.horizon, initial_replicas=cfg.min_replicas)
-    n_ticks = int(round(scn.horizon / scn.tick))
-    interval_ticks = int(round(cfg.control_interval / scn.tick))
+    n_ticks = int(round(scn.horizon / tick))
+    interval_ticks = int(round(cfg.control_interval / tick))
     prev_latency: float | None = None
     pending_since: float | None = None
+    # bound once per run, after any wrapper is installed
+    arrivals_at, step = workload.arrivals_at, cluster.step
+    check_invariants, append = cluster.check_invariants, trace.append
 
     for k in range(n_ticks):
-        arrivals = workload.arrivals_at(scn.workload, seed, k, scn.tick)
-        ready = cluster.step(arrivals, scn.service, scn.tick)
-        rate = arrivals / scn.tick
-        latency, util = sample(ready, cluster.queue_depth, rate, scn.service,
+        arrivals = arrivals_at(spec, seed, k, tick)
+        ready = step(arrivals, service, tick)
+        rate = arrivals / tick
+        latency, util = sample(ready, cluster.queue_depth, rate, service,
                                prev_latency)
         prev_latency = latency
 
@@ -224,13 +228,13 @@ def run(scn: ScenarioConfig, controller_kind: str,
                 pending_since = None
 
         try:
-            cluster.check_invariants()
+            check_invariants()
         except AssertionError as exc:
             raise SimulationError(
-                f"invariant breach at t={k * scn.tick}: {exc}") from exc
+                f"invariant breach at t={k * tick}: {exc}") from exc
 
-        trace.append(arrivals, ready, cluster.total_replicas - ready,
-                     cluster.pending_replicas, cluster.active_nodes,
-                     cluster.queue_depth, latency, util, rec)
+        append(arrivals, ready, cluster.total_replicas - ready,
+               cluster.pending_replicas, cluster.active_nodes,
+               cluster.queue_depth, latency, util, rec)
 
     return trace

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -70,6 +71,24 @@ class ScenarioConfig:
             raise ConfigError(
                 f"workload: up to {peak:g} arrivals per tick over {n_ticks} "
                 "ticks sum past the float range")
+        # the controllers divide demands by these products, and the SLO
+        # severity is at most the quotient: a product that underflows
+        # divides by zero, and an infinite severity times no ready pods is
+        # NaN
+        mu, cfg = self.service.per_replica_rate, self.controller
+        for where, product in (
+                ("service.per_replica_rate * controller.target_utilization",
+                 mu * cfg.target_utilization),
+                ("service.per_replica_rate * controller.drain_window",
+                 mu * cfg.drain_window)):
+            if not sys.float_info.min <= product <= sys.float_info.max:
+                raise ConfigError(f"{where}: {product!r} is not a normal "
+                                  "float")
+        if not math.isfinite(self.service.latency_cap
+                             / cfg.slo_latency_target):
+            raise ConfigError(
+                "service.latency_cap / controller.slo_latency_target: the "
+                "SLO severity passes the float range")
         if self.repeats < 1:
             raise ConfigError("repeats: must be >= 1")
         if self.seed < 0 or self.seed + self.repeats > SEED_LIMIT:

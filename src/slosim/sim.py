@@ -271,8 +271,6 @@ class Cluster(ClusterState):
 
     def _discharge_pending(self):
         """Place as many pending pods as there are free slots."""
-        if self.pending_replicas <= 0:
-            return
         placed = self._place(self.pending_replicas,
                              self.time + self.params.pod_start_delay)
         self.pending_replicas -= placed
@@ -327,7 +325,8 @@ class Cluster(ClusterState):
             activated = provisioning.popleft().count
             _add_cohort(self.fresh, self.time, activated)
             self.active_nodes += activated
-        self._discharge_pending()
+        if self.pending_replicas > 0:
+            self._discharge_pending()
 
         ready = self.ready_replicas
         capacity = ready * model.per_replica_rate * dt
@@ -394,17 +393,23 @@ class Cluster(ClusterState):
             raise AssertionError("request conservation violated")
 
         # every cohort sequence holds non-empty cohorts in the strict time
-        # order its scans, fills and merges rely on
+        # order its scans, fills and merges rely on; the node sequences are
+        # empty on most ticks, and an empty one is not walked
         total = _cohort_total(self.replicas, "empty cohort",
                               "cohorts out of ready_at order")
         if self.total_replicas != total:
             raise AssertionError("replica counter drifted")
-        idle = (_cohort_total(self.emptied, "empty emptied run",
-                              "emptied nodes out of order")
-                + _cohort_total(self.fresh, "empty fresh run",
-                                "fresh nodes out of order"))
-        incoming = _cohort_total(self.provisioning, "empty provisioning run",
-                                 "provisioning nodes out of order")
+        idle = incoming = 0
+        if self.emptied:
+            idle += _cohort_total(self.emptied, "empty emptied run",
+                                  "emptied nodes out of order")
+        if self.fresh:
+            idle += _cohort_total(self.fresh, "empty fresh run",
+                                  "fresh nodes out of order")
+        if self.provisioning:
+            incoming = _cohort_total(self.provisioning,
+                                     "empty provisioning run",
+                                     "provisioning nodes out of order")
 
         # the prefix rule: every active node is busy, with exactly enough
         # room for the pods, or idle in exactly one cohort

@@ -1,6 +1,7 @@
 """Small constructors and reference models shared by the unit tests."""
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ import numpy as np
 from slosim.controllers import DecisionRecord, ScalingAction
 from slosim.signals import SignalSnapshot
 from slosim.sim import Cluster, ClusterParams
-from slosim.workload import _batch_bulk, _mean_rate, burst_onsets
+from slosim.workload import NOISE_BLOCK, burst_onsets, in_burst
 
 
 def bundled_doc(name: str) -> dict:
@@ -30,14 +31,65 @@ def analytic_mean_rate(spec) -> float:
     raise ValueError("analytic mean defined for periodic kinds only")
 
 
+def mean_rate(spec, t: float) -> float:
+    """The noiseless arrival rate at time `t`, outside mixed batches."""
+    if spec.kind == "bursty":
+        rate = spec.base_rate
+        if in_burst(spec, t):
+            rate *= spec.burst_amplitude
+        return rate
+    if spec.kind == "queue_driven":
+        rate = spec.base_rate
+        for start, end, seg_rate in spec.ramps:
+            if start <= t < end:
+                rate = seg_rate
+        return rate
+    # mixed: steady latency-sensitive stream; batches handled separately
+    return (1.0 - spec.batch_fraction) * spec.base_rate
+
+
+def batch_bulk(spec, k: int, dt: float) -> float:
+    """Bulk requests injected in tick `k` of length `dt`, once per batch
+    period, mid-period like bursts.
+
+    A batch lands in the first tick that starts at or after its period's
+    midpoint; counting from the tick index makes the sum telescope to
+    exactly one batch per period.
+    """
+    if spec.kind != "mixed" or spec.batch_fraction == 0:
+        return 0.0
+    period = spec.burst_interval
+    mid = period / 2.0
+
+    def landed(k: int) -> int:
+        # midpoints in [0, k * dt]; none lie before the run starts
+        return max(0, math.floor((k * dt - mid) / period) + 1)
+
+    batches = landed(k) - landed(k - 1)
+    return batches * spec.batch_fraction * spec.base_rate * period
+
+
+@functools.lru_cache(maxsize=64)
+def noise_chunk(seed: int, sigma: float, chunk: int) -> tuple[float, ...]:
+    """The mean-one log-normal factors of the NOISE_BLOCK ticks from
+    `chunk * NOISE_BLOCK` on, drawn one at a time by numpy's own
+    `default_rng([seed, chunk])`."""
+    rng = np.random.default_rng([seed, chunk])
+    return tuple(float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+                 for _ in range(NOISE_BLOCK))
+
+
+def noise_factor(seed: int, sigma: float, k: int) -> float:
+    """Tick k's noise factor: draw `k % NOISE_BLOCK` of its chunk."""
+    return noise_chunk(seed, sigma, k // NOISE_BLOCK)[k % NOISE_BLOCK]
+
+
 def arrivals_oracle(spec, seed: int, k: int, dt: float) -> int:
     """`slosim.workload.arrivals_at` as one tick's formula, with the tick's
-    noise factor drawn from numpy's own `default_rng([seed, k])`."""
-    count = _mean_rate(spec, k * dt) * dt + _batch_bulk(spec, k, dt)
+    noise factor drawn by `noise_factor`."""
+    count = mean_rate(spec, k * dt) * dt + batch_bulk(spec, k, dt)
     if spec.noise_std:
-        sigma = spec.noise_std
-        rng = np.random.default_rng([seed, k])
-        count *= float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
+        count *= noise_factor(seed, spec.noise_std, k)
     return max(0, int(round(count)))
 
 

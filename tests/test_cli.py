@@ -337,7 +337,7 @@ class TestValidateCommand:
         """Each tick's count is finite, but two noisy ticks sum past the
         float range: the run names the overflow, not a broken invariant."""
         doc = bundled_doc("bursty")
-        doc.update(horizon=1.5, tick=0.5, seed=3,
+        doc.update(horizon=1.5, tick=0.5, seed=11,
                    controllers=["default_hpa", "proposed"])
         doc["controller"]["control_interval"] = 0.5
         doc["workload"].update(base_rate=1e308 / 1.01, burst_amplitude=1,
@@ -349,6 +349,32 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "arrivals summed to t=1.0 pass the float range" in err
         assert "invariant breach" not in err
+
+    # each validated, and the run exited 2 with a bare Python error:
+    # ZeroDivisionError twice, then "cannot convert float NaN to integer"
+    @pytest.mark.parametrize("service,controller,cluster,named", [
+        ({"per_replica_rate": 1e-9}, {"target_utilization": 5e-324}, {},
+         "service.per_replica_rate * controller.target_utilization"),
+        ({"per_replica_rate": 1e-9}, {"drain_window": 5e-324}, {},
+         "service.per_replica_rate * controller.drain_window"),
+        ({}, {"slo_latency_target": 5e-324}, {"initial_nodes": 0},
+         "service.latency_cap / controller.slo_latency_target"),
+    ], ids=["target_utilization", "drain_window", "slo_latency_target"])
+    def test_demand_arithmetic_past_the_float_range_rejected(
+            self, tmp_path, capsys, service, controller, cluster, named):
+        doc = bundled_doc("bursty")
+        doc["horizon"] = 120
+        for section, values in (("service", service),
+                                ("controller", controller),
+                                ("cluster", cluster)):
+            doc[section].update(values)
+        path = write_scenario(tmp_path, doc)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert main(["run", str(path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(named in line for line in err)
+        assert not (tmp_path / "out").exists()
 
     def test_queue_driven_without_ramps_runs_at_its_base_rate(self,
                                                               tmp_path):

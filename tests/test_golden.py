@@ -14,10 +14,11 @@ import hashlib
 
 import pytest
 
+from slosim import workload
 from slosim.runner import run
 from slosim.scenario import parse_scenario
 
-from helpers import bundled_doc
+from helpers import arrivals_oracle, bundled_doc
 
 BUNDLED = ("bursty", "mixed", "queue_driven")
 
@@ -87,7 +88,7 @@ def _fast_retirement():
     # bundled `bursty` with two-slot nodes, a 5 s idle timeout, a 5 s
     # provision delay and noise_std 0.3, seed 3: nodes empty and retire within
     # seconds, so several nodes that emptied at one time retire in one step
-    # (5, 7 and 16 times for the three controllers)
+    # (5, 6 and 18 times for the three controllers)
     doc = bundled_doc("bursty")
     doc["seed"] = 3
     doc["cluster"]["node_capacity"] = 2
@@ -168,11 +169,11 @@ GOLDEN = {
         "c42ad5c87f7176e23eae7572b2da1953ae3494c7cc176305ca0474e5c6d7fd05"),
 
     ("noisy_6h", "hpa_vpa"): (
-        "fbb7920fd6f95e8ca7e68367cb8e8f61bc9f9e9588c7fcadd787e5ebdb797e6e",
-        "d7a971cf49b27ded6abbb1ff6130806fc51eab60e2d15bc3840be1db33585c2e"),
+        "f6a2ea70048238cac728714b393722b24776745a1df375d2e3623c6fbe5fb960",
+        "be313c6775f48355985d6d41a9bbaade2991cc3cfa05b320a5d9f5beb77a4ca6"),
     ("noisy_6h", "proposed"): (
-        "94a21c9aa44edff8df5778a5660f15779aa9002cc44c44e5ebe9b8cf1dddeab2",
-        "690af1b957fa3939e2053d433007cc58d6dd23b3bdbb3bb39166987ef92bb008"),
+        "d929e3b89729bf1f5921d900c07eaf393397ef4a4bef3b42610794c9c6c266cc",
+        "ed8a17c70d8b05a363f897b94bf7988364ced3acac5f60406d7d154c60e2aa58"),
 
     ("fleet_x100", "default_hpa"): (
         "9006e8b65966ef31071b7bdca63ed04dd84cc908eaf73b2af0014c936c9f74ab",
@@ -208,14 +209,14 @@ GOLDEN = {
         "9094dab11d6fcd88bde6992cfa0b043e59127358ecc838e2103111bd62640d8c"),
 
     ("fast_retirement", "default_hpa"): (
-        "75eaddf4ba0422effc06e9a134e5a482955a7746a82bbfe1f69224881e4beb39",
-        "16f78a26adc6e2a15b1a82232e6405bb0892213a03f72704f2370b55baec8a2d"),
+        "c1e69dc25b4ee987454de9cb90f94f11f0931481a5868b5db396ec2c7ed5c414",
+        "feada3b9113d1001936ab9524a510d5f86cfad50b44490784cf3545549601426"),
     ("fast_retirement", "tuned_hpa"): (
-        "887db58e3bec9f93de06ef8640b19c06a1d3da550bcbc22b4aae959e9485b7d2",
-        "041df20e79114d2ac4a3b45946c9bcb36421dde086a821939e177102870e6a77"),
+        "2aeccae76ea327a5a8e12a82976b0139a30396a78119b35964ac6c71acdeaeed",
+        "bfa945ba22bc592210526f13fe3e3bef4dd25af5c2a2bf91da382eca86b3524d"),
     ("fast_retirement", "proposed"): (
-        "64fb736d83a3d5b213ee561fa1047cb185c9aafae2f6c099bd84e07c969e77ec",
-        "eab371f9aeb6eb87647e85eb1f021a1c560180e484c45b045295499eaef83a72"),
+        "68ca91f03cf3c4d3829ed1a635b5ecceb444c59394b1523a948d64900b278d16",
+        "c8b1362edef0d722a6d5e09799ddbf39b0dcddf5668fb6e23388a8c6c42c6757"),
 
     ("bursty_noise0_tick0.5", "default_hpa"): (
         "31d87759c4610494d8d763d0d37f2719ef5cc8598332dfa7e7d075b3266499d9",
@@ -244,43 +245,43 @@ GOLDEN = {
         "182b0a53e3e37ebd2712b5e8342d667c547900bd5e0719a6dd0fe9e758289390"),
 
     ("bursty_noise0.3_tick1", "default_hpa"): (
-        "374e9346ab5d92c2ca90e8f2881ae789a37c03c6d6aa3d986d3d44fc117a4d37",
-        "b7df82b20412e6b02a05f5ffffb4f3bd27fd11dcd49fd85955a44d4fa7c5ce69"),
+        "94b7859ea24efe9f081bf9d19d5d49bd63a3686f8a8024b958311ea404ffe301",
+        "eb35d8bd12be7d3ca1d7764634c971cb82fed3e90790ce218ff6ce5e57a43f26"),
     ("bursty_noise0.3_tick1", "tuned_hpa"): (
-        "056895c43c3a1c45d53a687c0d4396501120f7e58d0167e494307940dd25eb68",
-        "e9c2e911dbb17675a29f84257982d901c9b340bf90ce6394ad6d4b1f2ae2f10e"),
+        "ef4289f5352ad3fc9326cb022a0317b170bc82bb11c509ff408891372279c089",
+        "1c061f4a45a91a2f16119a2c9e92d1c7016af5c0060d882b9b8574eec841c0b7"),
     ("bursty_noise0.3_tick1", "hpa_vpa"): (
-        "a700fb25dccb9a99b5f55c4b3cab62527daaa5723a5c6a719db4ce569da29ccb",
-        "ffed7406baa4ead9c1e98ee0c5dac05f9e40038e65f7603ced1626ea55e574b0"),
+        "8c9722663c704d74d452cd95e3667f16c41898a9a7732fdd5de20631a675f1da",
+        "f8464ae1da454b09436f5ff871255bad7f30d3542f2f7e6f25dcdc55b55dc473"),
     ("bursty_noise0.3_tick1", "proposed"): (
-        "369f4aeb70ef8baae62d3ed97fe23c7c49c3163030e387fd4da7aef4a4637a5f",
-        "854b0f0642c8acbe8bd491675ebce43ecea642810ce452c2118db77ebcf6d209"),
+        "3ea1eaff4098a4c697748c09e7868cf47d5dbef3c683039077ede3a7374a8c19",
+        "1335c16c59a7652deeb0a96e90752f46cd8428d31e42b0d5711204b959e6e1c4"),
 
     ("bursty_noise0.3_tick0.5", "default_hpa"): (
-        "350c9d0247376ee58f3bed84d6a7c1d960a4791b30cc9970edc31d24094ff45d",
-        "f62d7602794aed9d5ffa1a07f46714cbb72ce04e7ed2753c6381a713b3348435"),
+        "40e75997d0fb1635f40d4383201e3e6231ee44d77817cead9434af1ef6110b63",
+        "62d3204466f93bb8378ed570a675120919c97707d6d923bd4df2d9e9bc0110cd"),
     ("bursty_noise0.3_tick0.5", "tuned_hpa"): (
-        "eb9bb746cb449eed637194f3444c1391c82f96232bf498ee3e4ad72b81859232",
-        "f3c87ad1c4ba5f998e773e551179863118de302398413534acbfa73b1ff22a36"),
+        "ee0ecd4b45fa1b8bb2c1ca24d9bf3d977bc001498c0c29d8cb9fefcee8cf9068",
+        "658ff6d17024d7b99ca3276599ee7b42cbf158e43ad7a0755caa96cda209e5e1"),
     ("bursty_noise0.3_tick0.5", "hpa_vpa"): (
-        "bb040d2c956b41dcb0a82b1bf3b384cff300a449132fb00205adc4121cb705a2",
-        "e35351dd765b570d8727584ed03050f309513607873051d55e42eb7c381dbb82"),
+        "bdff16f73377edb17f0155614233bd5ba9d011b272a056539fc0a7a6ba4c4067",
+        "b81ed45961e35bbb8b61c73ffb0cd76ad3ef39752f007176d6fd160127c1e519"),
     ("bursty_noise0.3_tick0.5", "proposed"): (
-        "de5f51ea5a147b6366f73e3c2b24045151382c851e68a9ca54e9254b2a3e6d9a",
-        "5727b84708f065ed841bbceb05ca31095d0cdaa41f18b19ff03a5d5b28f186e9"),
+        "a8edce7a621248c15394916b609a19c0003e171ceb85639a5dfa36eb3e07bb2a",
+        "bd2210cd765fe267e210bfb2aa4099540fc3aa1abde59eb672a6ec9fac6ac54e"),
 
     ("bursty_noise0.3_tick2.5", "default_hpa"): (
-        "982d114ac8e51a925f614560ddc9d546e171fa57248d6cf38c45589519a5f45d",
-        "8275cd4d61b3f23c4882e6badc6c5aea14b8bc58ccd37001e4484220231122ed"),
+        "c0a7caaec03f6a1eb792953d23e26d472a0e2af53e29ecfff7ddf66ec70aa446",
+        "01af2ee7bb86e8312ab518995b249d1a5dcde557f23626d53885415d811fde2b"),
     ("bursty_noise0.3_tick2.5", "tuned_hpa"): (
-        "09c8dd31ff8e7214f74d0a189e372d8115c2c6eb9971605a2cce9e40d842da7a",
-        "7b8b74fb8760f9237c713c75abedc5b97e8f297180bc55dc6abb216a7bb5ab2f"),
+        "09fd8d14f1f31b5bb6b3eb8f10e75ad6a85914daea7aa3534dd14808b6a44e1b",
+        "31f543db7d70e7555f712fa27dc6df9624c2d29a8963cafa869e680ea0e13e89"),
     ("bursty_noise0.3_tick2.5", "hpa_vpa"): (
-        "977e25a28371a28b3b46cc6ad1de8ef786d41b4f9638bf7d29c87d4945ddbeb1",
-        "9541e0b6881e58db104976b86389a5fe1d778da9e18f74c85fc2874163b199fc"),
+        "89c830dd4909e799860598b6041aa895c646ebced71742d8a696be7bd6f38e8e",
+        "ceb432682dec397e61cf51876effb04d73bdbc97d0b9cc2acb17d254e9aafbe3"),
     ("bursty_noise0.3_tick2.5", "proposed"): (
-        "2d33c366dbbcba9487f92cc19479c48742090e0fa3093567e38e9a17c62e1641",
-        "125ffacc2182711d4de3142d003e52cc2c388a26e5e8499fc8a3268d433459ef"),
+        "ab42417ed9ab90f6141c85d35e42b95bf86b77baf6ed1a0acdb0fd9fe3da74ca",
+        "1f89aecdd3c816f0307411fdec72660c8c8002b5ac46c249920961c52196a981"),
 
     ("mixed_noise0_tick0.5", "default_hpa"): (
         "c3052614ceed1be94fee0902b105da759ddd7ce7d3db9ccbe389fbf3749ded3e",
@@ -309,43 +310,43 @@ GOLDEN = {
         "c2cc344a38da83c500725fc36404325dce167169bf4fb6ab55f13837e5501d04"),
 
     ("mixed_noise0.3_tick1", "default_hpa"): (
-        "78621799cd172f5f359c73059632e947d1050e204f5fafb28186b7a8813c9157",
-        "02c622281fa8bef4a318590d83b68344dfd8eaaad1ff1d5107820cdeb5404a41"),
+        "7d6d2f12f1b1a2d2ffccf485e168aae136721f0e66ecec676c9009895d02315f",
+        "7ea3375cb33ea5b3afa4b2f4a8c1f36027cf584a5083772282f48e26be96cc4b"),
     ("mixed_noise0.3_tick1", "tuned_hpa"): (
-        "f7c0a6b27ca2fb1cf86b9a9b08f08777b37aed3166288eab1f2285c788c7e04d",
-        "2b5f0472f789201dbb69bbf511316c67f52f3b901f43a42dd09adaec0cec3a74"),
+        "fbef4eed03d468a19046f28066c3838ac1e4c3cfd9f472e9b8d68adf9fe1f847",
+        "9b32c839d36e28e697b5aad4aa26e592177f1d41325f449056ae846242a37f9a"),
     ("mixed_noise0.3_tick1", "hpa_vpa"): (
-        "69a3958efeffe9723503c9983f264ddace51f8fff8cf025351992267dd377205",
-        "3fe4ab71604fed25ab340917e17de5fe4bfcd9c85ece42759b94755ab1b0a00e"),
+        "b7781ecc3cbf0e6e9eb80bdee1ead251e220bb535ac5b00fedeecf1ea0a9d40d",
+        "540abe0a5b1f9c596a5eacf47639659e356ec8e8551f24278791be53cf447df6"),
     ("mixed_noise0.3_tick1", "proposed"): (
-        "9d15f37cface20e63b3284f6eff342b9ef802ed03c7d3ff6a1bcdb35399bec70",
-        "eef709dc8d15bf11736ba0795c61e649b206228073c9422117305073479eb05c"),
+        "9dcbd3cfde622e780f9972cc83adbc6c7b9d64a45ec349dbeef4e77e764ba69f",
+        "bf5bf0a322fa8a0437eb0a28165e99543b23f908d914e12965ae789532af2924"),
 
     ("mixed_noise0.3_tick0.5", "default_hpa"): (
-        "880dfbeaeb4a0a6cb59f62e97fa07ffbc2e331badf65d101a3bf35dae85f7090",
-        "61a372e1cb90ac8c8e2b315acf3b4e0f4a0ee890884f2838180bc74c294f7703"),
+        "aa4abed58dc77d083d4ba09f729e0438f17fc7bb389c5df582815df99287ed40",
+        "aead318155e362771cd18ed79f6bed5523da7341ff856ee5c12b9e0218dcd96e"),
     ("mixed_noise0.3_tick0.5", "tuned_hpa"): (
-        "a106943818fa41adb0e230bf9c7ad76fb7e3fa8698816d0a71614a32297400da",
-        "e2b896244e7ff4fa8abe9467620bc2b349b722bd7bd88e9eeeaba0b38d7d557d"),
+        "c75aa774c5c07cf7b9c721e469b97b171691d66efbd81ac16e213d0f1659afd2",
+        "fc6becc13fded145edc10d20de4d9afe50aab4bb8d4eaa1b827f54c63a5d88be"),
     ("mixed_noise0.3_tick0.5", "hpa_vpa"): (
-        "88135c2eed4df93b395d1e3d5f386cdd964c6cb5a9ab7a794f98f8a6b1a6cdd4",
-        "3bef1c674806cf639ffa303b0cbbdf87438c70a6d0015d716fdd3be19817dcc0"),
+        "e79e99a5eda6b498454267509e96fa8ebce846e4c158619dafaec3f41f9b0ce9",
+        "34618ce203c8d3b0b40f563ed593db9cd4d5c4c97d35f601ebe6cd34d9f2cea9"),
     ("mixed_noise0.3_tick0.5", "proposed"): (
-        "6fe77e18abd1799ceafa4ab21b3d625e471dd2ace2debedfe7653910542a445c",
-        "422000e3abf10f448dca7e48ec82dc4a6aa18e7484e945e0a47d6ac7794b8e90"),
+        "9368d48fb02eba807737070925c25354827fd7dabcde81292313f395f15bdbd2",
+        "ab077e71fc688032a5febc89176ee8c376a8ac604ae03dd06256a5bd63291a19"),
 
     ("mixed_noise0.3_tick2.5", "default_hpa"): (
-        "0b0652bcfef223931b58d1142571e0a30472a23697a229b046de98eb34e7142e",
-        "6ad51296c08e1ea663cdced1796aace63fe82842c601ff43c87dacc2a2f97637"),
+        "cb33cc5d4a1b561bc046ac0bba8a5d907daca5eeb562f59338402e52d98b066f",
+        "0828fc0ebab91c4835ab1ed733a9ad8a3c52a10e61d3ce5d75433f194dc221d8"),
     ("mixed_noise0.3_tick2.5", "tuned_hpa"): (
-        "d23ff5dd204ca2434a3055e80a02474bd6d87b00bb6f265796b11790a214be22",
-        "2acc42cb266c6d0f26f4c18ce97a6879b196713b3a7f4e004a552efd5a7d85f7"),
+        "c9e61ea4eafa736b2176eac7b1ab1ecd85da23eb59eac439bc427f51b6f2a830",
+        "46dd962e701b4fd872267deb2b01f53fd9702bc9964168ac146664fd4a90c0ad"),
     ("mixed_noise0.3_tick2.5", "hpa_vpa"): (
-        "0285d17ac7c014ed7892146036b5c30590de8301ba62b08497391bf21baedba1",
-        "7fd74b0eca073d69c42c7998d192757aa826b2e5ba02521ed02a920b7ff9f9eb"),
+        "168dd734695e5ea73efa36482a003177106957767332e19610e86f3202510f6d",
+        "ff84d259b05f7acdf3a0c79e597b5bb2c3acd8e3a16c95e20a02fe15423b43c3"),
     ("mixed_noise0.3_tick2.5", "proposed"): (
-        "b97c93fe646c35a388b93c552b12d600dcc40af60b03af072132cc0fe661c76d",
-        "03e91f4f69f2c454adae07c690e8db402ae3ffb7dda27111f39b4e0f96951f85"),
+        "67aa99d77dbdb4608afd8d79933ec8bd727292bdc3109469542b2075dd3fb273",
+        "8dedd1d1957d6bbbc63089105cd8a6c4dc384f14618a715859f8cabeff68546f"),
 
     ("queue_driven_noise0_tick0.5", "default_hpa"): (
         "ffd4b5dc00eabd9a639cbc2ddb922bd755fd6c950a7621d35b5ec2f77de3529b",
@@ -374,43 +375,43 @@ GOLDEN = {
         "47cbfd89585801069d447b5ef736587993ddb1ea9c8b174f869f625ff521e89e"),
 
     ("queue_driven_noise0.3_tick1", "default_hpa"): (
-        "f5ba826cf982128bd450b5a7bc44f398103baf726bda6f37bd70c670f7e40e9e",
-        "13915a5ce5b8f5fd9581961e463b110265a45044e95b875c3f2a7d60b93463de"),
+        "d80c2105d49a6e7d7cff1fb787eff008f605aebda157bedc3bbb307aac691da9",
+        "81689b8ccaa9b1222ac202d5245d6ffc23cc811d8e63eb3e935ae50487e919f4"),
     ("queue_driven_noise0.3_tick1", "tuned_hpa"): (
-        "26ecadb40350d70dca157efaa8dd4369111d8a3993ac6f736576946c9aed89b6",
-        "8b02b1151c9461fa55d9f538af1995959c7030f02aa211b523b1840fbe986892"),
+        "1efd4bb1fd832c2fe50cf62c4cd97d34a3670654d9a8bf4300a1f1d218169f55",
+        "3e3f2165f8389c0c3c2186794eba2536608fbdec8799052377f251d4aee0f066"),
     ("queue_driven_noise0.3_tick1", "hpa_vpa"): (
-        "342d021896c47ae6cbcc7545f96fae9c4101f77093fcd3c76b5ba1307c5408d3",
-        "d95beebc410f53ef84c612a27eb88c409e1edfa52adca8d29448271e146ae503"),
+        "a40116770c80a5a3bff9905ef13bf77f924dc74041c57bb9776ddd57032746d0",
+        "73fbd16583ce43938b843687ff40f81184491df7c2b7f17b903bd12b63d045a4"),
     ("queue_driven_noise0.3_tick1", "proposed"): (
-        "69c1d460fdb23cf1cb663b0d031e381670d0e7376ed81138817f271165967c19",
-        "c4b2d82c1da4879cdfcdb0c7ae466b32f5fe0166d1becb6db21bdb23c92e0ed7"),
+        "e8b8a5c9be582f90ea5162fd357bd7f35760901a4d3876e696f0290ba6109b73",
+        "e287df2167273fe4031bdfb7d585ac283cf561dc157f7386cb475731af2edb32"),
 
     ("queue_driven_noise0.3_tick0.5", "default_hpa"): (
-        "24bd68243da73c9c686091dd46727c09ad8a4ae040eb1b1d3ddd15bc8df9f550",
-        "17b665d5e34271dc8d5f8bcc322c54dbe8e184719d0accfcc59d3756957c9d57"),
+        "ea134d814b6e5641a601b129b08731f63b464e53f7f000ec26ba20163cbfd07e",
+        "cf23333114236f5150e50717f1557fa167a008ba86bfad6451a3fcb61beacf34"),
     ("queue_driven_noise0.3_tick0.5", "tuned_hpa"): (
-        "6966bc995032e1cb7b5e9f8f0e6c3242500d768c17538bfa66d3ffa36106df20",
-        "9946c56fcdbc4d77e6c960010889f0ecb98b504e422ee012e5dd5b6e1c46fa61"),
+        "686bb42130355d82fcea0666a0f8d2d8679a08fd6a09c833a75b6023d23c5e02",
+        "935cb0579b7c7af09ab7ecad0754eaade1760cf23e8f2073422db26e0fab65f7"),
     ("queue_driven_noise0.3_tick0.5", "hpa_vpa"): (
-        "e90b816733a56437194af97d6698a42b227df35eec104037105862970beb3958",
-        "4b577446a92d70a57a1d9fcf36e1b0b0489f980b15cda52f66ab259d607d8330"),
+        "759d61cbbc748d1cb53edcf559b224abc60b90912d03f903877d7a55dbb14ff7",
+        "ee330a2ca0c2d89f797ea8c7f69e01514a949593f127de6d66c0632a0ce36711"),
     ("queue_driven_noise0.3_tick0.5", "proposed"): (
-        "303fa9532b0ab8f7cf53c74d0afcee2c52660a41e747e6cd81a54f590083a5ed",
-        "10b53ffaf96da9d479c974dbd832398e3155a06ae7fc67d99cfa0fc769f464c2"),
+        "520c65d811c9848c80af0d18041f9a8adbbfb5768266985877fab0151ab4cae9",
+        "03a783511b5a06cc3675dac72de7450d9cd3ad63580f36c8125609b4139d1a72"),
 
     ("queue_driven_noise0.3_tick2.5", "default_hpa"): (
-        "6c3c758f1ac7b28f71a83048c537f5d9c31d4f6a624e25e273d7c942beca22d3",
-        "5be7f219ba1c131645170f9bcb780c24d8b75213ef1c8cbcc0087c10143129c1"),
+        "4578ae561e78e2b4354d0f3e36315feae298e65fa1cc00a27fd1ac41cf99be1c",
+        "9f934587ad9935c8444619bdb33690c2abb59c04a7761396cd9bed9fd6a68092"),
     ("queue_driven_noise0.3_tick2.5", "tuned_hpa"): (
-        "88f58506cff9dd6a6353aa6830caaa512b85ca4a1b67e52d8997970e876e8bd5",
-        "1e5737fe028ae71e244e59aefdb1f422c4d5d822dd4b12d79a641ae9eed58d56"),
+        "c85c66b3e10a21b18678f0701309f5419893a4f5baaaf6ffa9623707fbc11140",
+        "c695b270b651338dd925a90c522eaeccf73a3181d812fd48ad31a251503e46d2"),
     ("queue_driven_noise0.3_tick2.5", "hpa_vpa"): (
-        "b1839bcd9a5d4e6c91ecd20d394335fc606eea8a7524410d27241e06c84545b7",
-        "6cd772894f5bf13b64c825a6ffde3e8002b2ab624749e5ff4626e51031dbfe25"),
+        "00ba23c3de5a682169aca10382421df0f0db5f402591a10074f2189fce0e0518",
+        "b3b491851b962786ab3ebbaaea54fe1c66b6b7d7f9d21fbeb8b0831394c9baee"),
     ("queue_driven_noise0.3_tick2.5", "proposed"): (
-        "a964e3da0304bb3c0bd382a294af79fe14855e03b1f0eff10f242b1ec96d2ae8",
-        "b87380cb9a98121a46e071f485334cd55a0808338fda0e1af87f264b3eea2e8b"),
+        "41116ac29d8d03a707afd76cd9b0c4e921918d4d6f6292e6b25d4be2413e9757",
+        "e8ced2da4bcaf6a9573be95dd82e54d30d6dbb8437b4bcf770254ec3a52fb163"),
 }
 
 
@@ -428,6 +429,19 @@ def test_every_case_is_pinned():
 
 @pytest.mark.parametrize("case,controller", list(GOLDEN))
 def test_output_bytes_match_golden_digests(case, controller):
+    trace = run(CASES[case](), controller)
+    assert (_sha256(trace.to_jsonl()), _sha256(trace.decisions_to_jsonl())) \
+        == GOLDEN[(case, controller)]
+
+
+@pytest.mark.parametrize("case,controller", [
+    key for key in GOLDEN if CASES[key[0]]().workload.noise_std])
+def test_noisy_digests_match_the_per_tick_oracle(case, controller,
+                                                 monkeypatch):
+    """A noisy run with every tick's arrivals taken from the per-tick oracle
+    writes the golden bytes, so a noisy digest pins the noise contract and
+    not only the code that fills the blocks."""
+    monkeypatch.setattr(workload, "arrivals_at", arrivals_oracle)
     trace = run(CASES[case](), controller)
     assert (_sha256(trace.to_jsonl()), _sha256(trace.decisions_to_jsonl())) \
         == GOLDEN[(case, controller)]

@@ -2,6 +2,8 @@
 blocks against the per-tick formula, and the noise contract against numpy's
 own generator."""
 
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -16,20 +18,25 @@ from hypothesis import strategies as st
 
 import slosim
 from slosim import workload
+from slosim.runner import run
+from slosim.scenario import parse_scenario
 from slosim.workload import (
     FIRST_BLOCK,
     NOISE_BLOCK,
     WorkloadSpec,
-    _batch_bulk,
-    _lognormal_draws,
-    _seed_words,
+    _factors,
     arrivals_at,
     burst_onsets,
     in_burst,
     peak_arrivals,
 )
 
-from helpers import analytic_mean_rate, arrivals_oracle
+from helpers import (
+    analytic_mean_rate,
+    arrivals_oracle,
+    bundled_doc,
+    noise_factor,
+)
 
 BURSTY = WorkloadSpec(kind="bursty", base_rate=50, burst_amplitude=4,
                       burst_duration=60, burst_interval=600)
@@ -122,19 +129,24 @@ class TestMixed:
         assert total / horizon == pytest.approx(analytic_mean_rate(self.SPEC),
                                                 rel=0.01)
 
+    # every request in a batch: a tick's arrivals are its batches alone
+    BATCHES = dataclasses.replace(SPEC, batch_fraction=1)
+
     # 60 periods of 600 s: every tick start up to the last midpoint, 35 700 s
     @pytest.mark.parametrize("dt,n_ticks", [
         (0.1, 360_000), (0.3, 120_000), (0.6, 60_000), (0.7, 51_429),
         (700, 52),
     ])
     def test_one_batch_per_period_at_any_tick(self, dt, n_ticks):
-        bulk = 0.3 * 40 * 600
-        total = sum(_batch_bulk(self.SPEC, k, dt) for k in range(n_ticks))
-        assert total == pytest.approx(60 * bulk)
+        bulk = 40 * 600
+        total = sum(arrivals_at(self.BATCHES, 0, k, dt)
+                    for k in range(n_ticks))
+        assert total == 60 * bulk
 
     def test_batch_lands_in_first_tick_at_or_after_midpoint(self):
         dt = 0.7
-        landed = [k for k in range(1000) if _batch_bulk(self.SPEC, k, dt)]
+        landed = [k for k in range(1000)
+                  if arrivals_at(self.BATCHES, 0, k, dt)]
         assert landed == [429]  # 428 * 0.7 < 300 <= 429 * 0.7
 
 
@@ -262,8 +274,9 @@ def test_blocks_match_the_per_tick_formula(kind, ramps, dt, noise_std, seeds,
 
 
 class TestNoiseOracle:
-    """Tick k's factor is the first mean-one log-normal draw of numpy's
-    `default_rng([seed, k])`, exactly."""
+    """Tick k's factor is draw `k % NOISE_BLOCK` of numpy's mean-one
+    log-normal draws from `default_rng([seed, k // NOISE_BLOCK])`,
+    exactly."""
 
     SIGMA = 0.3
     SPEC = WorkloadSpec(kind="bursty", base_rate=1e6, burst_amplitude=1,
@@ -274,16 +287,15 @@ class TestNoiseOracle:
              2**32 - 1, 2**32, 2**40 + 5, 2**41 + 5,
              *map(int, np.random.default_rng(2025).integers(0, 2**41, 6))]
 
-    def oracle(self, seed, tick):
-        rng = np.random.default_rng([seed, tick])
-        sigma = self.SIGMA
-        return float(rng.lognormal(mean=-sigma * sigma / 2.0, sigma=sigma))
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_factor_equals_default_rng_draw(self, seed):
-        ticks = np.array(self.TICKS, dtype=np.uint64)
-        got = _lognormal_draws()(seed, self.SIGMA, ticks)
-        assert got == [self.oracle(seed, tick) for tick in self.TICKS]
+        """Each factor, read from the FIRST_BLOCK-aligned block that holds
+        its tick, is the chunk draw."""
+        for tick in self.TICKS:
+            start = tick - tick % FIRST_BLOCK
+            got = _factors(seed, self.SIGMA, start, FIRST_BLOCK)
+            assert got[tick - start] \
+                == noise_factor(seed, self.SIGMA, tick), tick
 
     def test_seeds_interleaved_call_by_call(self):
         seeds = (3, 2**31 - 1, 77)
@@ -292,24 +304,43 @@ class TestNoiseOracle:
         for tick in ticks:
             for seed in seeds:
                 got = arrivals_at(self.SPEC, seed, tick, 1.0)
-                want = self.SPEC.base_rate * self.oracle(seed, tick)
+                want = self.SPEC.base_rate * noise_factor(seed, self.SIGMA,
+                                                          tick)
                 assert got == round(want), (seed, tick)
 
     def test_fractional_tick_uses_the_tick_index(self):
-        dt = 0.1
-        for k in (0, 3, NOISE_BLOCK, 86_399):
-            want = self.SPEC.base_rate * dt * self.oracle(9, k)
-            assert arrivals_at(self.SPEC, 9, k, dt) == round(want)
+        """A factor depends on the tick index, not on the tick length."""
+        for dt in (0.1, 0.5, 2.5):
+            for k in (0, 3, NOISE_BLOCK, 86_399):
+                want = (self.SPEC.base_rate * dt
+                        * noise_factor(9, self.SIGMA, k))
+                assert arrivals_at(self.SPEC, 9, k, dt) == round(want), dt
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_seed_words_equal_seed_sequence_state(self, seed):
-        ticks = np.array(self.TICKS + [2**63 + 7], dtype=np.uint64)
-        words = _seed_words(seed, ticks)
-        assert words.dtype == np.uint64 and words.shape == (len(ticks), 4)
-        for tick, row in zip(ticks, words):
-            want = np.random.SeedSequence([seed, int(tick)]).generate_state(
-                4, np.uint64)
-            assert row.tolist() == want.tolist(), tick
+    def test_a_shorter_run_reads_a_prefix_of_a_longer_one(self):
+        """Horizons of 700 and 1500 s at half-second ticks: the shorter run
+        ends inside the second chunk, the longer inside the third."""
+        doc = bundled_doc("bursty")
+        doc.update(tick=0.5, horizon=1500)
+        doc["workload"]["noise_std"] = self.SIGMA
+        longer = run(parse_scenario(doc), "proposed").arrivals
+        doc["horizon"] = 700
+        shorter = run(parse_scenario(doc), "proposed").arrivals
+        assert len(shorter) == 1400 and len(longer) == 3000
+        assert shorter == longer[:1400]
+
+    def test_log_factors_have_the_stated_mean_and_spread(self):
+        """Over 10**5 factors the log has mean -sigma**2 / 2 and standard
+        deviation sigma. The standard errors are sigma / 316 = 0.00095 and
+        sigma / 447 = 0.00067, so both tolerances are over seven of them."""
+        n = 100_000
+        logs = [math.log(f) for start in range(0, n, NOISE_BLOCK)
+                for f in _factors(11, self.SIGMA, start,
+                                  min(NOISE_BLOCK, n - start))]
+        assert len(logs) == n
+        mean = sum(logs) / n
+        std = math.sqrt(sum((x - mean) ** 2 for x in logs) / (n - 1))
+        assert mean == pytest.approx(-self.SIGMA ** 2 / 2, abs=0.007)
+        assert std == pytest.approx(self.SIGMA, abs=0.005)
 
 
 def test_noiseless_run_never_imports_numpy_random():
